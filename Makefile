@@ -7,13 +7,14 @@ RACE_PKGS := ./internal/exec/... ./internal/queue/... ./internal/spl/... ./inter
 BENCH_PKGS := ./internal/exec/... ./internal/queue/...
 BENCH_OUT  := BENCH_1.json
 
-# Inter-PE transport benchmarks: batched vs per-tuple-flush loopback runs
-# plus the zero-alloc encode/decode microbenchmarks.
+# Inter-PE transport benchmarks: batched loopback runs plus the zero-alloc
+# encode/decode microbenchmarks.
 BENCH_PE_OUT := BENCH_2.json
 
-# Work-stealing scheduler benchmarks: shared-MPMC vs stealing on the
-# contended fan-in shape at 2/4/8/16 workers, plus the deque
-# microbenchmarks (push/pop and steal-half, both 0 allocs/op).
+# Work-stealing scheduler benchmarks: the contended fan-in shape at
+# 2/4/8/16 workers, plus the deque microbenchmarks (push/pop and
+# steal-half, both 0 allocs/op). The committed file also holds the retired
+# shared-MPMC-only scheduler's rows.
 BENCH_SCHED_OUT := BENCH_4.json
 
 # Observability benchmarks: registry instrument hot paths (counter inc,
@@ -22,9 +23,10 @@ BENCH_SCHED_OUT := BENCH_4.json
 BENCH_OBS_OUT := BENCH_5.json
 
 # Hot-path benchmarks for the shared-point-elimination round: the contended
-# fan-in worker sweep with both sink-metering modes (sharded vs the mutex
-# baseline — the Fig. 10 comparison), plus the zero-copy decode
-# microbenchmarks. Results embed GOMAXPROCS as a reported metric.
+# fan-in worker sweep with the sharded sink, plus the zero-copy decode
+# microbenchmarks. Results embed GOMAXPROCS as a reported metric. The
+# committed file also holds the retired mutex sink's rows (the Fig. 10
+# comparison).
 BENCH_HOTPATH_OUT := BENCH_6.json
 
 # Region-compilation benchmarks: interpreted tuple-at-a-time vs compiled
@@ -37,9 +39,10 @@ BENCH_FUSED_OUT := BENCH_7.json
 # The acceptance bar: <= 10% tuples/s loss at the 1s interval vs off.
 BENCH_CKPT_OUT := BENCH_8.json
 
-# Wire-format benchmarks: v2 batch frames vs v1 frame-per-tuple at equal
-# flush policy (BenchmarkExportImportWire), plus the batch encode/decode
-# steady-state microbenchmarks (0 allocs/op). Every row reports gomaxprocs.
+# Wire-format benchmarks: batch frames across payload sizes
+# (BenchmarkExportImportWire), plus the batch encode/decode steady-state
+# microbenchmarks (0 allocs/op). Every row reports gomaxprocs. The committed
+# file also holds the retired frame-per-tuple wire's rows.
 BENCH_WIRE_OUT := BENCH_9.json
 
 # Cluster elasticity benchmarks: time-to-settle and delivery-rate dip for
@@ -73,14 +76,14 @@ bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem $(BENCH_PKGS) > $(BENCH_OUT)
 
 # bench-pe writes the transport benchmark results (tuples/s and allocs/op
-# for export->import at 64B/1KiB/16KiB payloads, batched vs per-tuple
-# flush) to $(BENCH_PE_OUT) in the same benchstat-comparable format.
+# for export->import at 16B/64B/1KiB/16KiB payloads) to $(BENCH_PE_OUT) in
+# the same benchstat-comparable format.
 bench-pe:
 	$(GO) test -json -run '^$$' -bench 'ExportImport|SteadyState' -benchmem ./internal/pe/ > $(BENCH_PE_OUT)
 
-# bench-sched writes the scheduler comparison (tuples/s for shared vs
-# stealing on the contended fan-in, deque allocs/op) to $(BENCH_SCHED_OUT);
-# compare shared/workers=N against steal/workers=N with benchstat.
+# bench-sched writes the scheduler sweep (tuples/s and steals/s on the
+# contended fan-in, deque allocs/op) to $(BENCH_SCHED_OUT); compare it
+# against the committed file with benchstat.
 bench-sched:
 	$(GO) test -json -run '^$$' -bench 'ContendedFanIn' -benchmem ./internal/exec/ > $(BENCH_SCHED_OUT)
 	$(GO) test -json -run '^$$' -bench 'WSDeque' -benchmem ./internal/queue/ >> $(BENCH_SCHED_OUT)
@@ -92,11 +95,9 @@ bench-sched-smoke:
 	$(GO) test -run '^$$' -bench 'WSDeque' -benchtime 1x -benchmem ./internal/queue/
 
 # bench-hotpath writes the raw-speed round 2 results to
-# $(BENCH_HOTPATH_OUT): the contended fan-in at 2/4/8/16 workers in both
-# scheduler modes with the sharded sink AND the locked-sink baseline (every
-# run reports a gomaxprocs metric — on a 1-core box the sharded/locked gap
-# collapses because nothing truly contends), plus the decode benchmarks
-# showing zero payload-copy allocs. The sweep is benchstat-ready: per-worker
+# $(BENCH_HOTPATH_OUT): the contended fan-in at 2/4/8/16 workers with the
+# sharded sink (every run reports a gomaxprocs metric), plus the decode
+# benchmarks showing zero payload-copy allocs. The sweep is benchstat-ready: per-worker
 # sub-benchmark keys plus $(BENCH_COUNT) repeats per key, so the multi-core
 # rerun is this one command followed by
 # `make benchstat OLD=BENCH_6.json NEW=<new file>`.
@@ -104,9 +105,8 @@ bench-hotpath:
 	$(GO) test -json -run '^$$' -bench 'ContendedFanIn' -benchmem -count=$(BENCH_COUNT) ./internal/exec/ > $(BENCH_HOTPATH_OUT)
 	$(GO) test -json -run '^$$' -bench 'Decode|ExportImport' -benchmem -count=$(BENCH_COUNT) ./internal/pe/ >> $(BENCH_HOTPATH_OUT)
 
-# One-hundred-iteration smoke of the fan-in benches for CI, both sink
-# modes: proves they build and run without panicking, makes no timing
-# claims.
+# One-hundred-iteration smoke of the fan-in benches for CI: proves they
+# build and run without panicking, makes no timing claims.
 bench-hotpath-smoke:
 	$(GO) test -run '^$$' -bench 'ContendedFanIn' -benchtime 100x -benchmem ./internal/exec/
 
@@ -145,25 +145,19 @@ bench-fused:
 bench-fused-smoke:
 	$(GO) test -run '^$$' -bench 'ManualChain' -benchtime 100x -benchmem ./internal/exec/
 
-# bench-wire writes the wire-format A/B to $(BENCH_WIRE_OUT):
-# BenchmarkExportImportWire wire=batch vs wire=pertuple at 16B/64B/1KiB/
-# 16KiB payloads under identical flush policy ($(BENCH_COUNT) repeats per
-# key at 2s each — the end-to-end loopback needs a couple of seconds of
-# steady state before connection setup, pool warmup, and ring fill stop
-# skewing the sample; compare wire=batch/payload=N against
-# wire=pertuple/payload=N with benchstat), plus the batch encode/decode
-# steady-state microbenchmarks. The acceptance bar: >= 1.5x tuples/s for
-# batch over per-tuple on tuples whose record fits 64B (payload=16).
-# The last line reruns the legacy-keyed transport benches (which now ride
-# the v2 wire by default) so `make benchstat OLD=BENCH_2.json
-# NEW=BENCH_9.json` pairs them against their v1-era numbers.
+# bench-wire writes the wire benchmarks to $(BENCH_WIRE_OUT):
+# BenchmarkExportImportWire wire=batch at 16B/64B/1KiB/16KiB payloads
+# ($(BENCH_COUNT) repeats per key at 2s each — the end-to-end loopback needs
+# a couple of seconds of steady state before connection setup, pool warmup,
+# and ring fill stop skewing the sample), plus the batch encode/decode
+# steady-state microbenchmarks. Compare wire=batch/payload=N against the
+# committed BENCH_9.json with benchstat.
 bench-wire:
 	$(GO) test -json -run '^$$' -bench 'ExportImportWire' -benchtime 2s -benchmem -count=$(BENCH_COUNT) ./internal/pe/ > $(BENCH_WIRE_OUT)
 	$(GO) test -json -run '^$$' -bench 'BatchEncodeSteadyState|BatchDecodeSteadyState' -benchmem ./internal/pe/ >> $(BENCH_WIRE_OUT)
-	$(GO) test -json -run '^$$' -bench 'ExportImport$$|ExportImportPerTupleFlush$$|BenchmarkEncodeSteadyState$$|BenchmarkDecodeSteadyState$$' -benchmem ./internal/pe/ >> $(BENCH_WIRE_OUT)
 
-# One-hundred-iteration smoke of the wire A/B benches for CI: proves both
-# wire modes build and run, makes no timing claims.
+# One-hundred-iteration smoke of the wire benches for CI: proves they build
+# and run, makes no timing claims.
 bench-wire-smoke:
 	$(GO) test -run '^$$' -bench 'ExportImportWire|BatchEncodeSteadyState|BatchDecodeSteadyState' -benchtime 100x -benchmem ./internal/pe/
 
@@ -179,7 +173,8 @@ benchstat:
 fuzz:
 	$(GO) test ./internal/queue/ -run '^$$' -fuzz FuzzMPMCBatchOps -fuzztime 20s
 
-# Short fuzz pass over the transport's coalesced v1 frame streams.
+# Short fuzz pass over the transport's coalesced batch frame streams:
+# round trip, truncation, and hostile byte flips.
 fuzz-pe:
 	$(GO) test ./internal/pe/ -run '^$$' -fuzz FuzzBatchedFrames -fuzztime 20s
 

@@ -55,10 +55,7 @@ func main() {
 		streamRing  = flag.Int("streamring", 0, "transport: staging ring capacity per stream in tuples (0 = 1024 default)")
 		streamDrop  = flag.Bool("streamdrop", false, "transport: drop tuples when a stream backs up instead of blocking the PE (latency over completeness)")
 		streamStats = flag.Bool("streamstats", false, "print per-stream transport counters at exit (multi-PE runs)")
-		wireBatch   = flag.Bool("wirebatch", true, "transport: carry whole writer drains as v2 batch frames across PE edges; false sends one v1 frame per tuple (the pre-batch wire, for A/B comparison)")
-		localEdges  = flag.Bool("localedges", false, "transport: route co-located cross-PE edges through the in-process fast path (direct ring handoff, no TCP); wire-level chaos faults do not apply to local edges")
 
-		steal      = flag.Bool("steal", true, "scheduler: work stealing (per-worker deques with emit affinity); false routes everything through the shared queues")
 		localq     = flag.Int("localq", 0, "scheduler: per-worker deque capacity, a power of two (0 = 256 default)")
 		schedStats = flag.Bool("schedstats", false, "print work-stealing scheduler counters (affinity pushes, steals, overflows, parks) at exit")
 		fuse       = flag.Bool("fuse", true, "scheduler: compile manual regions into flat programs executed batch-at-a-time; false interprets every delivery tuple-at-a-time")
@@ -80,11 +77,10 @@ func main() {
 	flag.Parse()
 
 	tcfg := pe.TransportConfig{
-		RingCapacity:   *streamRing,
-		FlushBytes:     *flushBytes,
-		MaxFlushDelay:  *flushDelay,
-		DropOnFull:     *streamDrop,
-		PerTupleFrames: !*wireBatch,
+		RingCapacity:  *streamRing,
+		FlushBytes:    *flushBytes,
+		MaxFlushDelay: *flushDelay,
+		DropOnFull:    *streamDrop,
 	}
 	rcfg := resilienceConfig{
 		watchdog:     *watchdog,
@@ -96,7 +92,6 @@ func main() {
 		ckptInterval: *ckptEvery,
 	}
 	scfg := schedConfig{
-		steal:  *steal,
 		localQ: *localq,
 		stats:  *schedStats,
 		fuse:   *fuse,
@@ -113,7 +108,7 @@ func main() {
 	} else if *file != "" {
 		err = runFile(*file, *threads, *duration, *period, *trace, scfg, ocfg)
 	} else {
-		err = run(*shape, *ops, *width, *depth, *payload, *flops, *skewed, *batch, *threads, *duration, *period, *trace, *pes, *clusterW, *clusterC, tcfg, *localEdges, rcfg, *streamStats, scfg, ocfg)
+		err = run(*shape, *ops, *width, *depth, *payload, *flops, *skewed, *batch, *threads, *duration, *period, *trace, *pes, *clusterW, *clusterC, tcfg, rcfg, *streamStats, scfg, ocfg)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "streamrun:", err)
@@ -139,7 +134,6 @@ func runFile(path string, maxThreads int, duration, period time.Duration, dumpTr
 		MaxThreads:           maxThreads,
 		AdaptPeriod:          period,
 		Elastic:              ecfg,
-		DisableWorkStealing:  !scfg.steal,
 		LocalQueueCapacity:   scfg.localQ,
 		SampleEvery:          ocfg.sample,
 		DisableRegionCompile: !scfg.fuse,
@@ -258,7 +252,6 @@ func (c obsConfig) writeArtifacts(rec *obs.FlightRecorder, trace []core.TraceEve
 
 // schedConfig bundles the work-stealing scheduler flags.
 type schedConfig struct {
-	steal  bool
 	localQ int
 	stats  bool
 	fuse   bool
@@ -275,7 +268,6 @@ func (c schedConfig) validate() error {
 
 // execOptions translates the flags into engine scheduler options.
 func (c schedConfig) execOptions(o exec.Options) exec.Options {
-	o.DisableWorkStealing = !c.steal
 	o.LocalQueueCapacity = c.localQ
 	o.DisableRegionCompile = !c.fuse
 	return o
@@ -290,7 +282,7 @@ func printSched(name string, s metrics.SchedSnapshot) {
 
 func run(shape string, ops, width, depth, payload int, flops float64, skewed bool, srcBatch int,
 	maxThreads int, duration, period time.Duration, dumpTrace bool, pes int, clusterSpec string, clusterCycle time.Duration,
-	tcfg pe.TransportConfig, localEdges bool, rcfg resilienceConfig, streamStats bool, scfg schedConfig, ocfg obsConfig) error {
+	tcfg pe.TransportConfig, rcfg resilienceConfig, streamStats bool, scfg schedConfig, ocfg obsConfig) error {
 	cfg := workload.DefaultConfig()
 	cfg.PayloadBytes = payload
 	cfg.BalancedFLOPs = flops
@@ -321,7 +313,7 @@ func run(shape string, ops, width, depth, payload int, flops float64, skewed boo
 		return runCluster(b, clusterSpec, clusterCycle, maxThreads, duration, period, tcfg, rcfg, scfg, ocfg)
 	}
 	if pes > 1 {
-		return runJob(b, maxThreads, duration, period, pes, tcfg, localEdges, rcfg, streamStats, scfg, ocfg)
+		return runJob(b, maxThreads, duration, period, pes, tcfg, rcfg, streamStats, scfg, ocfg)
 	}
 
 	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
@@ -539,7 +531,7 @@ func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThrea
 // runJob executes the workload as a multi-PE job, every PE adapting
 // independently.
 func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, pes int,
-	tcfg pe.TransportConfig, localEdges bool, rcfg resilienceConfig, streamStats bool, scfg schedConfig, ocfg obsConfig) error {
+	tcfg pe.TransportConfig, rcfg resilienceConfig, streamStats bool, scfg schedConfig, ocfg obsConfig) error {
 	assign, err := pe.AssignContiguous(b.Graph, pes)
 	if err != nil {
 		return err
@@ -564,7 +556,6 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		}),
 		Elastic:        ecfg,
 		Transport:      tcfg,
-		LocalEdges:     localEdges,
 		Fault:          inj,
 		EnableWatchdog: rcfg.watchdog,
 		SampleEvery:    ocfg.sample,
@@ -591,12 +582,8 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 		return err
 	}
 	defer job.Stop()
-	streamKind := "TCP"
-	if localEdges {
-		streamKind = "in-process"
-	}
-	fmt.Printf("running %s as %d PEs (%d %s streams) for %s\n",
-		b.Name, pes, len(job.Streams()), streamKind, duration)
+	fmt.Printf("running %s as %d PEs (%d TCP streams) for %s\n",
+		b.Name, pes, len(job.Streams()), duration)
 	start := time.Now()
 	var last uint64
 	for time.Since(start) < duration {
@@ -623,16 +610,12 @@ func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, p
 	}
 	if streamStats {
 		for _, st := range job.StreamStats() {
-			kind := "tcp"
-			if st.Local {
-				kind = "local"
-			}
 			framesPerFlush := 0.0
 			if st.Flushes > 0 {
 				framesPerFlush = float64(st.WireFrames) / float64(st.Flushes)
 			}
-			fmt.Printf("stream %d PE%d->PE%d (%s): sent=%d recv=%d dropped=%d bytesSent=%d bytesRecv=%d frames=%d framesRecv=%d flushes=%d framesPerFlush=%.1f drains=%v retrans=%d reconnects=%d dups=%d resumes=%d\n",
-				st.Stream, st.FromPE, st.ToPE, kind, st.Sent, st.Received, st.Dropped,
+			fmt.Printf("stream %d PE%d->PE%d: sent=%d recv=%d dropped=%d bytesSent=%d bytesRecv=%d frames=%d framesRecv=%d flushes=%d framesPerFlush=%.1f drains=%v retrans=%d reconnects=%d dups=%d resumes=%d\n",
+				st.Stream, st.FromPE, st.ToPE, st.Sent, st.Received, st.Dropped,
 				st.BytesSent, st.BytesReceived, st.WireFrames, st.FramesReceived,
 				st.Flushes, framesPerFlush, st.DrainSizes,
 				st.Retransmits, st.Reconnects, st.DupsDropped, st.Resumes)

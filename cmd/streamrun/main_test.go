@@ -10,13 +10,14 @@ import (
 	"streamelastic/internal/pe"
 )
 
-// stealOn is the default scheduler configuration the flag parser produces.
-var stealOn = schedConfig{steal: true, fuse: true}
+// defaultSched is the default scheduler configuration the flag parser
+// produces.
+var defaultSched = schedConfig{fuse: true}
 
 func TestRunPipelineLive(t *testing.T) {
 	err := run("pipeline", 10, 4, 8, 64, 5000, false, 8, 4,
-		1500*time.Millisecond, 100*time.Millisecond, true, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false,
-		schedConfig{steal: true, localQ: 128, stats: true, fuse: true}, obsConfig{})
+		1500*time.Millisecond, 100*time.Millisecond, true, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false,
+		schedConfig{localQ: 128, stats: true, fuse: true}, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +25,8 @@ func TestRunPipelineLive(t *testing.T) {
 
 func TestRunSkewedBushy(t *testing.T) {
 	err := run("bushy", 0, 4, 8, 64, 100, true, 1, 2,
-		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false,
-		schedConfig{steal: false}, obsConfig{})
+		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false,
+		schedConfig{}, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,19 +35,9 @@ func TestRunSkewedBushy(t *testing.T) {
 func TestRunMultiPE(t *testing.T) {
 	err := run("pipeline", 8, 4, 8, 64, 5000, false, 4, 4,
 		1500*time.Millisecond, 100*time.Millisecond, false, 2, "", 0,
-		pe.TransportConfig{FlushBytes: 8 << 10, MaxFlushDelay: 500 * time.Microsecond}, false,
+		pe.TransportConfig{FlushBytes: 8 << 10, MaxFlushDelay: 500 * time.Microsecond},
 		resilienceConfig{watchdog: true, panicBudget: 2}, true,
-		schedConfig{steal: true, stats: true, fuse: true}, obsConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunMultiPELocalEdges(t *testing.T) {
-	err := run("pipeline", 8, 4, 8, 64, 5000, false, 4, 4,
-		1500*time.Millisecond, 100*time.Millisecond, false, 2, "", 0,
-		pe.TransportConfig{}, true, resilienceConfig{}, true,
-		schedConfig{steal: true}, obsConfig{})
+		schedConfig{stats: true, fuse: true}, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +46,7 @@ func TestRunMultiPELocalEdges(t *testing.T) {
 func TestRunCluster(t *testing.T) {
 	err := run("pipeline", 8, 4, 8, 64, 2000, false, 4, 2,
 		2500*time.Millisecond, 100*time.Millisecond, false, 1, "2:4", time.Second,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, stealOn, obsConfig{})
+		pe.TransportConfig{}, resilienceConfig{}, false, defaultSched, obsConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,34 +55,34 @@ func TestRunCluster(t *testing.T) {
 func TestRunClusterBadSpec(t *testing.T) {
 	if err := run("pipeline", 8, 4, 8, 64, 2000, false, 1, 2,
 		time.Second, 100*time.Millisecond, false, 1, "4:2", 0,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, stealOn, obsConfig{}); err == nil {
+		pe.TransportConfig{}, resilienceConfig{}, false, defaultSched, obsConfig{}); err == nil {
 		t.Fatal("inverted width spec accepted")
 	}
 }
 
 func TestRunUnknownShape(t *testing.T) {
 	if err := run("triangle", 10, 4, 8, 64, 100, false, 1, 4,
-		time.Second, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false, stealOn, obsConfig{}); err == nil {
+		time.Second, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false, defaultSched, obsConfig{}); err == nil {
 		t.Fatal("unknown shape accepted")
 	}
 }
 
 func TestSchedConfigValidate(t *testing.T) {
 	for _, bad := range []int{1, 3, 100, -4} {
-		if err := (schedConfig{steal: true, localQ: bad}).validate(); err == nil {
+		if err := (schedConfig{localQ: bad}).validate(); err == nil {
 			t.Fatalf("-localq %d accepted", bad)
 		}
 	}
 	for _, good := range []int{0, 2, 256, 1 << 12} {
-		if err := (schedConfig{steal: true, localQ: good}).validate(); err != nil {
+		if err := (schedConfig{localQ: good}).validate(); err != nil {
 			t.Fatalf("-localq %d rejected: %v", good, err)
 		}
 	}
 	// Validation guards the engine's own check: a capacity that passes here
 	// must be accepted by run too.
 	if err := run("pipeline", 4, 4, 8, 64, 100, false, 1, 2,
-		300*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, false, resilienceConfig{}, false,
-		schedConfig{steal: true, localQ: 64}, obsConfig{}); err != nil {
+		300*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false,
+		schedConfig{localQ: 64}, obsConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,7 +97,7 @@ func TestRunWithObs(t *testing.T) {
 	}
 	err := run("pipeline", 6, 4, 8, 64, 2000, false, 4, 2,
 		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0,
-		pe.TransportConfig{}, false, resilienceConfig{}, false, stealOn, ocfg)
+		pe.TransportConfig{}, resilienceConfig{}, false, defaultSched, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +130,17 @@ func TestRunFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(path, 4, 1200*time.Millisecond, 100*time.Millisecond, true, schedConfig{steal: true, stats: true}, obsConfig{}); err != nil {
+	if err := runFile(path, 4, 1200*time.Millisecond, 100*time.Millisecond, true, schedConfig{stats: true}, obsConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(dir+"/missing.txt", 4, time.Second, 100*time.Millisecond, false, stealOn, obsConfig{}); err == nil {
+	if err := runFile(dir+"/missing.txt", 4, time.Second, 100*time.Millisecond, false, defaultSched, obsConfig{}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := dir + "/bad.txt"
 	if err := os.WriteFile(bad, []byte("gibberish"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(bad, 4, time.Second, 100*time.Millisecond, false, stealOn, obsConfig{}); err == nil {
+	if err := runFile(bad, 4, time.Second, 100*time.Millisecond, false, defaultSched, obsConfig{}); err == nil {
 		t.Fatal("bad topology accepted")
 	}
 }

@@ -104,8 +104,9 @@ func chainJob(t testing.TB, maxTuples uint64, rate float64) (*graph.Graph, *recS
 	return g, sink
 }
 
-// testPEOpts is the deterministic per-PE config: one engine thread, no
-// elasticity or work stealing (invocation order = arrival order), blocking
+// testPEOpts is the deterministic per-PE config: one engine thread and no
+// elasticity, so every operator runs inline on the source or import thread
+// (invocation order = arrival order), blocking
 // backpressure, a panic budget far above any armed fault plan so injected
 // panics drop exactly the tuple being processed and never quarantine.
 func testPEOpts(inj *fault.Injector) pe.Options {
@@ -117,10 +118,9 @@ func testPEOpts(inj *fault.Injector) pe.Options {
 			RetransmitCapacity: 4096,
 		},
 		Exec: exec.Options{
-			MaxThreads:          1,
-			DisableWorkStealing: true,
-			PanicBudget:         1000,
-			PanicDecay:          time.Hour,
+			MaxThreads:  1,
+			PanicBudget: 1000,
+			PanicDecay:  time.Hour,
 		},
 	}
 }
@@ -335,11 +335,6 @@ func TestClusterOptionValidation(t *testing.T) {
 	bad.PE.Checkpoint.Enabled = true
 	if _, err := New(g, bad); err == nil {
 		t.Error("checkpointing accepted")
-	}
-	bad = base
-	bad.PE.LocalEdges = true
-	if _, err := New(g, bad); err == nil {
-		t.Error("local edges accepted")
 	}
 	bad = base
 	bad.PE.Transport.DropOnFull = true

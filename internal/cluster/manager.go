@@ -144,9 +144,6 @@ func New(g *graph.Graph, opts Options) (*Manager, error) {
 	if p.Checkpoint.Enabled {
 		return nil, fmt.Errorf("cluster: checkpointing is incompatible with migration (ack gating at the checkpoint floor breaks the seeded resume handshake)")
 	}
-	if p.LocalEdges || p.LocalEdgeFor != nil {
-		return nil, fmt.Errorf("cluster: local edges have no retransmit machinery; migration needs TCP streams")
-	}
 	if p.Transport.DropOnFull {
 		return nil, fmt.Errorf("cluster: DropOnFull transports lose tuples while an edge is frozen; migration needs blocking backpressure")
 	}

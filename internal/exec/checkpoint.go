@@ -415,13 +415,17 @@ func (c *Checkpointer) recover(nodes []int) {
 	if c.cfg.Rewind != nil {
 		c.cfg.Rewind(wm)
 	}
-	c.e.resumeAll()
-	c.e.reconfigMu.Unlock()
+	// Release the nodes before resuming: the first tuples after the resume
+	// are the replay, and a node still quarantined would drop them. The
+	// replay-filter downstream then sees later tuples first and can
+	// force-release past the hole, losing it for good.
 	if c.e.sup != nil {
 		for _, n := range nodes {
 			c.e.sup.finishRecovery(n)
 		}
 	}
+	c.e.resumeAll()
+	c.e.reconfigMu.Unlock()
 	c.restores.Add(1)
 	for _, n := range nodes {
 		c.e.rec.Record(obs.EvRestore, c.e.recPE, int64(n), int64(c.epoch), "quarantine")

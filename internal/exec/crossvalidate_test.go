@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -41,9 +42,11 @@ func measureLive(t *testing.T, g *graph.Graph, place []bool, threads int, window
 }
 
 // TestSimPredictsLiveOrdering cross-validates the simulated machine against
-// the live engine on this host: on a single-CPU machine the dynamic model's
-// queue overheads cannot be repaid by parallelism, so manual threading must
-// win — and a 1-core simulated machine must predict the same ordering.
+// the live engine: on a single CPU the dynamic model's queue overheads
+// cannot be repaid by parallelism, so manual threading must win — and a
+// 1-core simulated machine must predict the same ordering. The live half
+// runs at GOMAXPROCS=1 so it measures the machine the sim models, whatever
+// the host's core count.
 func TestSimPredictsLiveOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation timing test skipped in -short mode")
@@ -94,7 +97,9 @@ func TestSimPredictsLiveOrdering(t *testing.T) {
 			simDynamic, simManual)
 	}
 
-	// Live measurement.
+	// Live measurement on one CPU.
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	liveManual := measureLive(t, g, nil, 1, 400*time.Millisecond, Options{})
 	liveDynamic := measureLive(t, g, allDyn, 2, 400*time.Millisecond, Options{})
 	if liveManual == 0 || liveDynamic == 0 {

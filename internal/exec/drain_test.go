@@ -47,14 +47,16 @@ func TestDrainAndStopTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Queue the gate operator: the wedge must show up as scheduler-queue
-	// backlog (inline execution would hide it inside the source goroutine).
+	// Queue the gate operator before the first tuple: the wedge must show
+	// up as scheduler-queue backlog (inline execution would hide it inside
+	// the source goroutine, and a placement racing that wedged source
+	// would wait on the pause barrier forever).
 	place := make([]bool, g.NumNodes())
 	place[gid] = true
 	if err := e.ApplyPlacement(place); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Let the backlog form behind the wedged worker before draining.

@@ -15,13 +15,12 @@
 // on sharded condition variables consulted by producers instead of
 // sleep-polling.
 //
-// Scheduling is work stealing (unless Options.DisableWorkStealing): each
-// worker owns a bounded deque, a worker emitting to a dynamic operator
-// pushes onto its own deque (emit affinity — no shared-queue CAS, the tuple
-// stays cache-hot), and a worker looks for work local-first, then steals
-// half a random victim's deque, then falls back to the shared MPMC queues,
-// which remain the injection path for sources, imports, reconfiguration
-// drains, and deque overflow.
+// Scheduling is work stealing: each worker owns a bounded deque, a worker
+// emitting to a dynamic operator pushes onto its own deque (emit affinity —
+// no shared-queue CAS, the tuple stays cache-hot), and a worker looks for
+// work local-first, then steals half a random victim's deque, then falls
+// back to the shared MPMC queues, which remain the injection path for
+// sources, imports, reconfiguration drains, and deque overflow.
 package exec
 
 import (
@@ -107,11 +106,6 @@ type Options struct {
 	MaxThreads int
 	// QueueCapacity is the per-queue capacity, a power of two (default 1024).
 	QueueCapacity int
-	// DisableWorkStealing turns off per-worker deques and emit affinity,
-	// routing every dynamic delivery through the shared MPMC queues. The
-	// zero value (stealing on) is the production configuration; the flag
-	// exists for A/B benchmarks and diagnosis.
-	DisableWorkStealing bool
 	// LocalQueueCapacity is the per-worker deque capacity, a power of two
 	// (default 256). A full deque overflows to the shared queue, so a small
 	// capacity only shifts traffic, never drops it.
@@ -250,7 +244,6 @@ type Engine struct {
 	// idle rescans. srcStats has one counter group per source loop and
 	// extStats covers everything else that emits (reconfiguration drains,
 	// tests); per-party groups keep hot-path increments contention-free.
-	stealing bool
 	allSlots []*wslot // guarded by reconfigMu
 	slots    atomic.Pointer[[]*wslot]
 	srcStats []metrics.SchedCounters
@@ -325,7 +318,6 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		statefulM: make([]*sync.Mutex, n),
 		meter:     metrics.NewMeter(time.Now()),
 		profiler:  metrics.NewProfiler(n),
-		stealing:  !opts.DisableWorkStealing,
 		srcStats:  make([]metrics.SchedCounters, len(g.Sources())),
 	}
 	e.cond = sync.NewCond(&e.mu)
@@ -704,9 +696,7 @@ func (e *Engine) workerLoop(w *worker) {
 	em.stats = &w.slot.stats
 	em.origin = w.id
 	em.sinkMeter = e.meter.Shard(w.id)
-	if e.stealing {
-		em.local = w.slot.deq
-	}
+	em.local = w.slot.deq
 	batch := make([]item, workerBatch)
 	dbatch := make([]ditem, workerBatch)
 	rot := w.id
@@ -726,19 +716,17 @@ func (e *Engine) workerLoop(w *worker) {
 		cfg := e.cfg.Load()
 		em.cfg = cfg
 		worked := false
-		if e.stealing {
-			if k := w.slot.deq.PopBottomN(dbatch); k > 0 {
-				w.slot.stats.LocalPops.Add(uint64(k))
-				e.executeDBatch(em, batch, dbatch[:k])
-				worked = true
-			} else if k := e.trySteal(w, dbatch); k > 0 {
-				if s := w.slot.stats.Steals.Add(1); s&(recSampleEvery-1) == 1 {
-					e.rec.Record(obs.EvSteal, e.recPE, int64(k), int64(w.id), "")
-				}
-				w.slot.stats.StolenTuples.Add(uint64(k))
-				e.executeDBatch(em, batch, dbatch[:k])
-				worked = true
+		if k := w.slot.deq.PopBottomN(dbatch); k > 0 {
+			w.slot.stats.LocalPops.Add(uint64(k))
+			e.executeDBatch(em, batch, dbatch[:k])
+			worked = true
+		} else if k := e.trySteal(w, dbatch); k > 0 {
+			if s := w.slot.stats.Steals.Add(1); s&(recSampleEvery-1) == 1 {
+				e.rec.Record(obs.EvSteal, e.recPE, int64(k), int64(w.id), "")
 			}
+			w.slot.stats.StolenTuples.Add(uint64(k))
+			e.executeDBatch(em, batch, dbatch[:k])
+			worked = true
 		}
 		if !worked {
 			n := len(cfg.queueList)
@@ -793,9 +781,6 @@ func (e *Engine) trySteal(w *worker, out []ditem) int {
 // in the shared queues (or inline) rather than back in the deque being
 // drained.
 func (e *Engine) flushLocal(em *emitter, slot *wslot) {
-	if em.local == nil {
-		return
-	}
 	em.local = nil
 	em.cfg = e.cfg.Load()
 	for {
@@ -969,8 +954,8 @@ func (e *Engine) inj() *fault.Injector { return e.opts.Fault }
 // loop and reused for every dispatch; its cfg is refreshed at each loop
 // iteration and its node tracks the operator currently executing on the
 // loop's goroutine. local is the owning worker's deque (nil off the worker
-// pool or when stealing is disabled), stats the loop's private counter
-// group, and origin the wake shard producers near this loop should prefer.
+// pool), stats the loop's private counter group, and origin the wake shard
+// producers near this loop should prefer.
 type emitter struct {
 	e      *Engine
 	cfg    *engineConfig

@@ -41,15 +41,30 @@ func buildChain(t *testing.T, n int, tuples uint64, flops float64) (*graph.Graph
 
 func startEngine(t *testing.T, g *graph.Graph, opts Options) *Engine {
 	t.Helper()
+	e := newEngine(t, g, opts)
+	start(t, e)
+	return e
+}
+
+// newEngine builds an engine that t's cleanup stops. Tests place it and
+// size its pool before start, so a bounded source's first tuple already
+// runs under the configuration the test asserts on instead of racing it.
+func newEngine(t *testing.T, g *graph.Graph, opts Options) *Engine {
+	t.Helper()
 	e, err := New(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Stop)
+	return e
+}
+
+// start starts e, failing the test on error.
+func start(t *testing.T, e *Engine) {
+	t.Helper()
 	if err := e.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(e.Stop)
-	return e
 }
 
 // waitCount polls until the sink has seen want tuples or the timeout hits.
@@ -118,7 +133,7 @@ func TestManualModeDeliversAllTuples(t *testing.T) {
 func TestDynamicModeDeliversAllTuples(t *testing.T) {
 	const n = 2000
 	g, sink := buildChain(t, 5, n, 10)
-	e := startEngine(t, g, Options{})
+	e := newEngine(t, g, Options{})
 	place := make([]bool, g.NumNodes())
 	for i := 1; i < len(place); i++ {
 		place[i] = true
@@ -129,6 +144,7 @@ func TestDynamicModeDeliversAllTuples(t *testing.T) {
 	if err := e.SetThreadCount(4); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	if e.Queues() != 6 {
 		t.Fatalf("queues = %d, want 6", e.Queues())
 	}
@@ -258,13 +274,14 @@ func TestFanOutDeliversToAllConsumers(t *testing.T) {
 	if err := g.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	e := startEngine(t, g, Options{})
+	e := newEngine(t, g, Options{})
 	// Make one consumer dynamic so both paths are exercised.
 	place := make([]bool, g.NumNodes())
 	place[b] = true
 	if err := e.ApplyPlacement(place); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sinkA, n, 10*time.Second)
 	waitCount(t, sinkB, n, 10*time.Second)
 	if sinkA.Count() != n || sinkB.Count() != n {
@@ -296,7 +313,7 @@ func TestStatefulOperatorSerialized(t *testing.T) {
 	if err := g.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	e := startEngine(t, g, Options{})
+	e := newEngine(t, g, Options{})
 	place := make([]bool, g.NumNodes())
 	place[split] = true
 	if err := e.ApplyPlacement(place); err != nil {
@@ -305,6 +322,7 @@ func TestStatefulOperatorSerialized(t *testing.T) {
 	if err := e.SetThreadCount(4); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	total := func() uint64 {
 		var s uint64
 		for _, snk := range sinks {
@@ -401,12 +419,13 @@ func TestStopIdempotent(t *testing.T) {
 func TestWaitIdleOnBoundedStream(t *testing.T) {
 	const n = 500
 	g, sink := buildChain(t, 3, n, 10)
-	e := startEngine(t, g, Options{})
+	e := newEngine(t, g, Options{})
 	place := make([]bool, g.NumNodes())
 	place[2] = true
 	if err := e.ApplyPlacement(place); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sink, n, 10*time.Second)
 	if !e.WaitIdle(5 * time.Second) {
 		t.Fatal("engine did not become idle after the bounded stream finished")

@@ -92,7 +92,7 @@ func TestQueueCrossingSteadyStateAllocFree(t *testing.T) {
 func TestIdleWorkersParkAndWake(t *testing.T) {
 	const tuples = 50
 	g, sink := hotChain(t, tuples, 8, 0)
-	e := startEngine(t, g, Options{MaxThreads: 4})
+	e := newEngine(t, g, Options{MaxThreads: 4})
 	place := make([]bool, g.NumNodes())
 	place[1], place[2] = true, true
 	if err := e.ApplyPlacement(place); err != nil {
@@ -101,6 +101,7 @@ func TestIdleWorkersParkAndWake(t *testing.T) {
 	if err := e.SetThreadCount(2); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sink, tuples, 5*time.Second)
 
 	waitWaiters := func(want int32) {

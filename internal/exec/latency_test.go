@@ -112,7 +112,7 @@ func TestOperatorPanicContainedUnderDynamicModel(t *testing.T) {
 	if err := g.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	e := startEngine(t, g, Options{})
+	e := newEngine(t, g, Options{})
 	place := make([]bool, g.NumNodes())
 	place[bad] = true
 	place[snk] = true
@@ -122,6 +122,7 @@ func TestOperatorPanicContainedUnderDynamicModel(t *testing.T) {
 	if err := e.SetThreadCount(4); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sink, 750, 15*time.Second)
 	if got := sink.Count(); got != 750 {
 		t.Fatalf("sink received %d, want 750", got)
@@ -158,7 +159,7 @@ func TestReorderRestoresOrderUnderDynamicModel(t *testing.T) {
 	if err := g.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	e := startEngine(t, g, Options{})
+	e := newEngine(t, g, Options{})
 	place := make([]bool, g.NumNodes())
 	place[work] = true
 	if err := e.ApplyPlacement(place); err != nil {
@@ -167,6 +168,7 @@ func TestReorderRestoresOrderUnderDynamicModel(t *testing.T) {
 	if err := e.SetThreadCount(4); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		mu.Lock()

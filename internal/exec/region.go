@@ -62,7 +62,8 @@ type regionStep struct {
 	// recycle mirrors Engine.recycle[node].
 	recycle bool
 	// mu is the node's stateful-operator lock (nil for stateless ops),
-	// taken once per stage per batch instead of once per tuple.
+	// taken once per batch instead of once per tuple and held until the
+	// region finishes (see runRegion).
 	mu *sync.Mutex
 }
 
@@ -240,10 +241,24 @@ func (e *Engine) flushSource(em *emitter) {
 // arriving at steps[0] on port. The input slice is consumed; stage outputs
 // ping-pong between the emitter's two scratch buffers, which are reused
 // across batches so the steady state allocates nothing.
+//
+// A stateful step's lock is held until the region finishes, as the
+// interpreted path holds it across Process and the inline deliveries
+// Process makes: the step's outputs then reach the steps after it in the
+// order it produced them, even with several threads running the region (a
+// Reorder's released runs stay in sequence at its consumers).
 func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port int) {
 	ts := em.ts
 	cur := in
 	flip := 0
+	locked := 0 // steps[:locked] hold their stateful locks
+	defer func() {
+		for i := locked - 1; i >= 0; i-- {
+			if mu := p.steps[i].mu; mu != nil {
+				mu.Unlock()
+			}
+		}
+	}()
 	for si := range p.steps {
 		if len(cur) == 0 {
 			return
@@ -283,6 +298,7 @@ func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port 
 		if st.mu != nil {
 			st.mu.Lock()
 		}
+		locked = si + 1
 		if st.bop != nil {
 			if e.runStepBatch(st, coll, port, cur) && st.recycle {
 				for _, t := range cur {
@@ -295,9 +311,6 @@ func (e *Engine) runRegion(em *emitter, p *regionProgram, in []*spl.Tuple, port 
 					t.Release()
 				}
 			}
-		}
-		if st.mu != nil {
-			st.mu.Unlock()
 		}
 		ts.Leave()
 		em.rbufs[flip] = coll.out

@@ -214,7 +214,7 @@ func TestRecompileOnReconfigure(t *testing.T) {
 func TestFusedConservationUnderShrink(t *testing.T) {
 	const tuples, factor = 2000, 8
 	g, sink := expandChain(t, tuples, factor, 100)
-	e := startEngine(t, g, Options{MaxThreads: 8})
+	e := newEngine(t, g, Options{MaxThreads: 8})
 	// Queue at expand and at work; work's region (work -> sink) compiles.
 	place := make([]bool, g.NumNodes())
 	place[1], place[2] = true, true
@@ -227,6 +227,7 @@ func TestFusedConservationUnderShrink(t *testing.T) {
 	if err := e.SetThreadCount(4); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sink, 1000, 10*time.Second) // mid-flight
 	if err := e.SetThreadCount(1); err != nil {
 		t.Fatal(err)

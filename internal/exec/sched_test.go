@@ -63,18 +63,19 @@ func checkSchedConservation(t *testing.T, e *Engine) {
 	}
 }
 
-// TestEmitAffinityConservation runs a burst topology with stealing enabled
-// and checks that (a) every tuple arrives, (b) the affinity fast path
-// actually carried traffic, (c) sources still injected through the shared
-// queues, and (d) deque pushes balance pops plus steals.
+// TestEmitAffinityConservation runs a burst topology and checks that (a)
+// every tuple arrives, (b) the affinity fast path actually carried traffic,
+// (c) sources still injected through the shared queues, and (d) deque
+// pushes balance pops plus steals.
 func TestEmitAffinityConservation(t *testing.T) {
 	const tuples, factor = 500, 8
 	g, sink := expandChain(t, tuples, factor, 0)
-	e := startEngine(t, g, Options{MaxThreads: 4})
+	e := newEngine(t, g, Options{MaxThreads: 4})
 	placeAllDynamic(t, e, g)
 	if err := e.SetThreadCount(2); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sink, tuples*factor, 10*time.Second)
 	if !e.DrainAndStop(5 * time.Second) {
 		t.Fatal("engine did not drain")
@@ -97,11 +98,12 @@ func TestEmitAffinityConservation(t *testing.T) {
 func TestStealingBalancesBursts(t *testing.T) {
 	const tuples, factor = 400, 64
 	g, sink := expandChain(t, tuples, factor, 500)
-	e := startEngine(t, g, Options{MaxThreads: 8})
+	e := newEngine(t, g, Options{MaxThreads: 8})
 	placeAllDynamic(t, e, g)
 	if err := e.SetThreadCount(4); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sink, tuples*factor, 20*time.Second)
 	if !e.DrainAndStop(5 * time.Second) {
 		t.Fatal("engine did not drain")
@@ -121,11 +123,12 @@ func TestStealingBalancesBursts(t *testing.T) {
 func TestShrinkFlushConservation(t *testing.T) {
 	const tuples, factor = 2000, 8
 	g, sink := expandChain(t, tuples, factor, 100)
-	e := startEngine(t, g, Options{MaxThreads: 8})
+	e := newEngine(t, g, Options{MaxThreads: 8})
 	placeAllDynamic(t, e, g)
 	if err := e.SetThreadCount(4); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sink, 1000, 10*time.Second) // mid-flight
 	if err := e.SetThreadCount(1); err != nil {
 		t.Fatal(err)
@@ -150,7 +153,7 @@ func TestShrinkFlushConservation(t *testing.T) {
 func TestNoWorkerSleepsWhileWorkQueued(t *testing.T) {
 	const rounds, producers = 40, 2
 	g, sink := hotChain(t, 10, 8, 0)
-	e := startEngine(t, g, Options{MaxThreads: 4})
+	e := newEngine(t, g, Options{MaxThreads: 4})
 	place := make([]bool, g.NumNodes())
 	place[1], place[2] = true, true
 	if err := e.ApplyPlacement(place); err != nil {
@@ -159,6 +162,7 @@ func TestNoWorkerSleepsWhileWorkQueued(t *testing.T) {
 	if err := e.SetThreadCount(2); err != nil {
 		t.Fatal(err)
 	}
+	start(t, e)
 	waitCount(t, sink, 10, 5*time.Second)
 
 	cfg := e.cfg.Load()
@@ -246,57 +250,50 @@ func TestAffinitySteadyStateAllocFree(t *testing.T) {
 
 // TestCostAttributionUnchangedByStealing pins the controller-facing
 // invariant: operator cost samples are attributed at execute time, so the
-// profiler ranks operators identically whether tuples reached the worker
-// through the shared queue or the deque bypass path.
+// profiler still ranks the heavy operator first when tuples reach workers
+// through the deque bypass as well as the shared queues.
 func TestCostAttributionUnchangedByStealing(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "steal"
-		if disable {
-			name = "shared"
+	t.Run("steal", func(t *testing.T) {
+		g := graph.New()
+		gen := spl.NewGenerator("src", 0)
+		src := g.AddSource(gen, nil)
+		light := spl.NewCostVar(200)
+		w1 := g.AddOperator(spl.NewWork("light", light), light)
+		if err := g.Connect(src, 0, w1, 0, 1); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			g := graph.New()
-			gen := spl.NewGenerator("src", 0)
-			src := g.AddSource(gen, nil)
-			light := spl.NewCostVar(200)
-			w1 := g.AddOperator(spl.NewWork("light", light), light)
-			if err := g.Connect(src, 0, w1, 0, 1); err != nil {
-				t.Fatal(err)
+		heavy := spl.NewCostVar(100000)
+		w2 := g.AddOperator(spl.NewWork("heavy", heavy), heavy)
+		if err := g.Connect(w1, 0, w2, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		sink := spl.NewCountingSink("snk")
+		sid := g.AddOperator(sink, nil)
+		if err := g.Connect(w2, 0, sid, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		e := newEngine(t, g, Options{MaxThreads: 4})
+		placeAllDynamic(t, e, g)
+		if err := e.SetThreadCount(2); err != nil {
+			t.Fatal(err)
+		}
+		start(t, e)
+		waitCount(t, sink, 2000, 10*time.Second)
+		cost := e.CostMetric()
+		argmax := 0
+		for i, c := range cost {
+			if c > cost[argmax] {
+				argmax = i
 			}
-			heavy := spl.NewCostVar(100000)
-			w2 := g.AddOperator(spl.NewWork("heavy", heavy), heavy)
-			if err := g.Connect(w1, 0, w2, 0, 1); err != nil {
-				t.Fatal(err)
-			}
-			sink := spl.NewCountingSink("snk")
-			sid := g.AddOperator(sink, nil)
-			if err := g.Connect(w2, 0, sid, 0, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := g.Finalize(); err != nil {
-				t.Fatal(err)
-			}
-			e := startEngine(t, g, Options{MaxThreads: 4, DisableWorkStealing: disable})
-			placeAllDynamic(t, e, g)
-			if err := e.SetThreadCount(2); err != nil {
-				t.Fatal(err)
-			}
-			waitCount(t, sink, 2000, 10*time.Second)
-			cost := e.CostMetric()
-			argmax := 0
-			for i, c := range cost {
-				if c > cost[argmax] {
-					argmax = i
-				}
-			}
-			if argmax != int(w2) {
-				t.Fatalf("cost metric argmax = node %d (%v), want heavy node %d", argmax, cost, w2)
-			}
-			if !disable {
-				if s := e.SchedStats(); s.LocalPushes == 0 {
-					t.Fatal("stealing run never used the affinity path; test is not exercising the bypass")
-				}
-			}
-		})
-	}
+		}
+		if argmax != int(w2) {
+			t.Fatalf("cost metric argmax = node %d (%v), want heavy node %d", argmax, cost, w2)
+		}
+		if s := e.SchedStats(); s.LocalPushes == 0 {
+			t.Fatal("run never used the affinity path; test is not exercising the bypass")
+		}
+	})
 }

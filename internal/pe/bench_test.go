@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -89,96 +88,23 @@ func BenchmarkExportImport(b *testing.B) {
 	}
 }
 
-// BenchmarkExportImportWire is the wire-format A/B at equal flush policy:
-// identical transport, staging ring, retransmit window, and flush tuning in
-// both runs — the only difference is PerTupleFrames, i.e. whether a writer
-// drain leaves as one v2 batch frame or as one v1 frame per tuple. This is
-// the BENCH_9 comparison; every row reports gomaxprocs for provenance (on a
+// BenchmarkExportImportWire sweeps the batch wire across payload sizes
+// under the default flush policy and checks that writer drains amortize
+// into batch frames. Rows keep their wire=batch/ prefix so benchstat pairs
+// them with BENCH_9.json. Every row reports gomaxprocs for provenance (on a
 // 1-core box the writer, reader, and producer share the core, so the
 // per-frame CPU overhead is what the batch amortizes away).
 func BenchmarkExportImportWire(b *testing.B) {
-	modes := []struct {
-		name     string
-		perTuple bool
-	}{
-		{"batch", false},
-		{"pertuple", true},
-	}
-	for _, mode := range modes {
-		for _, size := range benchPayloads {
-			b.Run(fmt.Sprintf("wire=%s/payload=%d", mode.name, size), func(b *testing.B) {
-				send, recv := loopbackPair(b)
-				exp := newExportOp("x")
-				exp.cfg = TransportConfig{
-					BlockTimeout:   time.Minute,
-					PerTupleFrames: mode.perTuple,
-				}.withDefaults()
-				if err := exp.connect(send, ""); err != nil {
-					b.Fatal(err)
-				}
-				imp := newImportSource("i")
-				imp.connect(recv, nil)
-				_, done := runImportDrain(imp, uint64(b.N))
-
-				tp := benchTuple(size)
-				defer tp.Release()
-				b.SetBytes(int64(size))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					exp.Process(0, tp, nil)
-				}
-				<-done
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-				if exp.Dropped() != 0 {
-					b.Fatalf("benchmark dropped %d tuples", exp.Dropped())
-				}
-				if mode.perTuple {
-					if got, want := exp.WireFrames(), exp.Sent(); got != want {
-						b.Fatalf("per-tuple mode staged %d frames for %d tuples", got, want)
-					}
-				} else if b.N >= 4096 && exp.WireFrames() >= exp.Sent() {
-					// Only meaningful at volume: a tiny smoke run can drain
-					// one tuple per pass and legitimately never amortize.
-					b.Fatalf("batch mode staged %d frames for %d tuples; no amortization",
-						exp.WireFrames(), exp.Sent())
-				}
-				exp.close()
-				imp.close()
-			})
-		}
-	}
-}
-
-// perTupleFlushSender replicates the pre-overhaul send path: a mutex around
-// an encoder that flushes after every tuple, one syscall per frame.
-type perTupleFlushSender struct {
-	mu  sync.Mutex
-	enc *encoder
-}
-
-func (s *perTupleFlushSender) send(t *spl.Tuple) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.enc.encode(t)
-}
-
-// BenchmarkExportImportPerTupleFlush is the baseline the tentpole is
-// measured against: identical wire format and receive side, but the sender
-// holds a lock and flushes every frame individually.
-func BenchmarkExportImportPerTupleFlush(b *testing.B) {
 	for _, size := range benchPayloads {
-		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("wire=batch/payload=%d", size), func(b *testing.B) {
 			send, recv := loopbackPair(b)
-			defer send.Close()
-			sender := &perTupleFlushSender{enc: newEncoder(send)}
-			// Drain the import's resume handshake and acknowledgements; the
-			// raw baseline sender does not speak the back-channel protocol.
-			go func() { _, _ = io.Copy(io.Discard, send) }()
+			exp := newExportOp("x")
+			exp.cfg = TransportConfig{BlockTimeout: time.Minute}.withDefaults()
+			if err := exp.connect(send, ""); err != nil {
+				b.Fatal(err)
+			}
 			imp := newImportSource("i")
 			imp.connect(recv, nil)
-			defer imp.close()
 			_, done := runImportDrain(imp, uint64(b.N))
 
 			tp := benchTuple(size)
@@ -186,32 +112,24 @@ func BenchmarkExportImportPerTupleFlush(b *testing.B) {
 			b.SetBytes(int64(size))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := sender.send(tp); err != nil {
-					b.Fatal(err)
-				}
+				exp.Process(0, tp, nil)
 			}
 			<-done
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+			if exp.Dropped() != 0 {
+				b.Fatalf("benchmark dropped %d tuples", exp.Dropped())
+			}
+			if b.N >= 4096 && exp.WireFrames() >= exp.Sent() {
+				// Only meaningful at volume: a tiny smoke run can drain
+				// one tuple per pass and legitimately never amortize.
+				b.Fatalf("staged %d frames for %d tuples; no amortization",
+					exp.WireFrames(), exp.Sent())
+			}
+			exp.close()
+			imp.close()
 		})
-	}
-}
-
-// BenchmarkEncodeSteadyState measures writeFrame with the scratch buffer
-// warm: steady-state encoding must be allocation-free.
-func BenchmarkEncodeSteadyState(b *testing.B) {
-	enc := newEncoder(io.Discard)
-	tp := benchTuple(64)
-	defer tp.Release()
-	if _, err := enc.writeFrame(tp); err != nil { // warm the scratch buffer
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.writeFrame(tp); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -228,46 +146,11 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// encodedFrame returns one wire frame for a payload of n bytes.
-func encodedFrame(tb testing.TB, n int) []byte {
-	tb.Helper()
-	tp := benchTuple(n)
-	defer tp.Release()
-	var sink writeRecorder
-	enc := newEncoder(&sink)
-	if err := enc.encode(tp); err != nil {
-		tb.Fatal(err)
-	}
-	return sink.buf
-}
-
-type writeRecorder struct{ buf []byte }
-
-func (w *writeRecorder) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// BenchmarkDecodeSteadyState measures pooled tuple construction from the
-// wire: with the tuple and payload pools warm, decode must be
-// allocation-free.
-func BenchmarkDecodeSteadyState(b *testing.B) {
-	dec := newDecoder(&loopReader{frame: encodedFrame(b, 64)})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := dec.decode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		t.Release()
-	}
-}
-
-// benchBatch returns writerBatchTuples pooled tuples with n-byte payloads —
-// one full writer drain, the batch encode/decode unit of work.
-func benchBatch(n int) []*spl.Tuple {
-	ts := make([]*spl.Tuple, writerBatchTuples)
+// benchBatch returns k pooled tuples with n-byte payloads; k =
+// writerBatchTuples is one full writer drain, the batch encode/decode unit
+// of work.
+func benchBatch(k, n int) []*spl.Tuple {
+	ts := make([]*spl.Tuple, k)
 	for i := range ts {
 		ts[i] = benchTuple(n)
 		ts[i].Seq = uint64(i)
@@ -285,7 +168,7 @@ func releaseBatch(ts []*spl.Tuple) {
 // scratch buffer: one full drain per op, reported per tuple via tuples/s.
 // Steady-state batch encoding must be allocation-free.
 func BenchmarkBatchEncodeSteadyState(b *testing.B) {
-	ts := benchBatch(64)
+	ts := benchBatch(writerBatchTuples, 64)
 	defer releaseBatch(ts)
 	buf, err := marshalBatchFrame(nil, 1, ts) // warm the scratch buffer
 	if err != nil {
@@ -303,11 +186,10 @@ func BenchmarkBatchEncodeSteadyState(b *testing.B) {
 	b.ReportMetric(float64(b.N)*writerBatchTuples/b.Elapsed().Seconds(), "tuples/s")
 }
 
-// encodedBatchFrame returns one v2 wire frame carrying a full drain of
-// payload-n tuples.
-func encodedBatchFrame(tb testing.TB, n int) []byte {
+// encodedBatchFrame returns one wire frame carrying k payload-n tuples.
+func encodedBatchFrame(tb testing.TB, k, n int) []byte {
 	tb.Helper()
-	ts := benchBatch(n)
+	ts := benchBatch(k, n)
 	defer releaseBatch(ts)
 	frame, err := marshalBatchFrame(nil, 1, ts)
 	if err != nil {
@@ -321,7 +203,7 @@ func encodedBatchFrame(tb testing.TB, n int) []byte {
 // arena-view tuples per op. Steady-state batch decoding must be
 // allocation-free with the pools warm.
 func BenchmarkBatchDecodeSteadyState(b *testing.B) {
-	dec := newDecoder(&loopReader{frame: encodedBatchFrame(b, 64)})
+	dec := newDecoder(&loopReader{frame: encodedBatchFrame(b, writerBatchTuples, 64)})
 	out := make([]*spl.Tuple, maxBatchTuples)
 	n, _, err := dec.decodeFrame(out) // warm the tuple and arena pools
 	if err != nil {
@@ -344,7 +226,7 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 // TestBatchEncodeSteadyStateZeroAlloc pins the zero-alloc contract of batch
 // frame marshalling independent of benchmark runs.
 func TestBatchEncodeSteadyStateZeroAlloc(t *testing.T) {
-	ts := benchBatch(64)
+	ts := benchBatch(writerBatchTuples, 64)
 	defer releaseBatch(ts)
 	buf, err := marshalBatchFrame(nil, 1, ts)
 	if err != nil {
@@ -370,7 +252,7 @@ func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops Puts under -race; zero-alloc steady state cannot hold")
 	}
-	dec := newDecoder(&loopReader{frame: encodedBatchFrame(t, 64)})
+	dec := newDecoder(&loopReader{frame: encodedBatchFrame(t, writerBatchTuples, 64)})
 	out := make([]*spl.Tuple, maxBatchTuples)
 	n, _, err := dec.decodeFrame(out) // warm the tuple and arena pools
 	if err != nil {
@@ -389,49 +271,53 @@ func TestBatchDecodeSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEncodeSteadyStateZeroAlloc pins the zero-alloc contract of writeFrame
-// independent of benchmark runs.
+// TestEncodeSteadyStateZeroAlloc pins the zero-alloc contract of the
+// writer's staging step: marshalling a drain into a warm retransmit slot
+// and appending the frame to the buffered writer.
 func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 	enc := newEncoder(io.Discard)
-	tp := benchTuple(64)
-	defer tp.Release()
-	if _, err := enc.writeFrame(tp); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := enc.writeFrame(tp); err != nil {
+	ring := newRetransRing(2)
+	ts := benchBatch(writerBatchTuples, 64)
+	defer releaseBatch(ts)
+	seq := uint64(1)
+	stage := func() {
+		frame, err := ring.putBatch(seq, ts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state writeFrame allocates %.1f objects per call, want 0", allocs)
+		seq += uint64(len(ts))
+		if _, err := enc.writeBytes(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stage() // warm both slots' buffers
+	stage()
+	if allocs := testing.AllocsPerRun(100, stage); allocs != 0 {
+		t.Fatalf("steady-state staging allocates %.1f objects per drain, want 0", allocs)
 	}
 }
 
-// TestDecodeSteadyStateZeroAlloc pins the zero-alloc contract of arena-backed
-// decode tuple construction. Skipped under -race: sync.Pool drops ~25% of
-// Puts there, and decode cycles three pooled objects per frame (tuple, arena,
-// payload box), so the forced re-allocations exceed what AllocsPerRun's
-// integer averaging hides. The non-race pass and the benchmarks keep the
-// guard honest.
+// TestDecodeSteadyStateZeroAlloc pins the zero-alloc contract of a
+// one-tuple batch frame, the shape a trickling stream sends. Skipped under
+// -race: sync.Pool drops ~25% of Puts there, and decode cycles three pooled
+// objects per frame (tuple, arena, payload box), so the forced
+// re-allocations exceed what AllocsPerRun's integer averaging hides. The
+// non-race pass and the benchmarks keep the guard honest.
 func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops Puts under -race; zero-alloc steady state cannot hold")
 	}
-	dec := newDecoder(&loopReader{frame: encodedFrame(t, 64)})
-	warm, err := dec.decode() // warm the tuple and payload pools
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.Release()
-	allocs := testing.AllocsPerRun(100, func() {
-		tp, err := dec.decode()
-		if err != nil {
-			t.Fatal(err)
+	dec := newDecoder(&loopReader{frame: encodedBatchFrame(t, 1, 64)})
+	out := make([]*spl.Tuple, maxBatchTuples)
+	decode := func() {
+		n, _, err := dec.decodeFrame(out)
+		if err != nil || n != 1 {
+			t.Fatalf("decodeFrame = %d tuples, %v; want 1", n, err)
 		}
-		tp.Release()
-	})
-	if allocs != 0 {
+		out[0].Release()
+	}
+	decode() // warm the tuple and arena pools
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
 		t.Fatalf("steady-state decode allocates %.1f objects per call, want 0", allocs)
 	}
 }

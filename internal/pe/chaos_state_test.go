@@ -13,6 +13,7 @@ import (
 	"streamelastic/internal/exec"
 	"streamelastic/internal/fault"
 	"streamelastic/internal/graph"
+	"streamelastic/internal/obs"
 	"streamelastic/internal/spl"
 )
 
@@ -32,12 +33,16 @@ const (
 const chaosStateWant = chaosStateTuples - chaosStateKeys + 1
 
 // splitKeyer fans one generated tuple into a build/probe pair. Stateless:
-// replay simply re-runs it.
-type splitKeyer struct{}
+// replay simply re-runs it. A non-zero pace sleeps a millisecond every
+// pace tuples, stretching the run over many checkpoint intervals.
+type splitKeyer struct{ pace uint64 }
 
 func (splitKeyer) Name() string { return "keyer" }
 
-func (splitKeyer) Process(_ int, t *spl.Tuple, out spl.Emitter) {
+func (k splitKeyer) Process(_ int, t *spl.Tuple, out spl.Emitter) {
+	if k.pace != 0 && t.Seq%k.pace == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	b := spl.AcquireTuple()
 	b.Seq = t.Seq
 	b.Key = t.Seq % chaosStateKeys
@@ -88,13 +93,13 @@ func goldenOutput() []byte {
 	return buf.Bytes()
 }
 
-func keyedJoinJob(t *testing.T) (*graph.Graph, *byteSink) {
+func keyedJoinJob(t *testing.T, keyer splitKeyer) (*graph.Graph, *byteSink) {
 	t.Helper()
 	g := graph.New()
 	gen := spl.NewGenerator("src", 16)
 	gen.MaxTuples = chaosStateTuples
 	src := g.AddSource(gen, spl.NewCostVar(10))
-	kid := g.AddOperator(splitKeyer{}, spl.NewCostVar(10))
+	kid := g.AddOperator(keyer, spl.NewCostVar(10))
 	if err := g.Connect(src, 0, kid, 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +144,13 @@ func chaosStateExecOpts() exec.Options {
 // resolved through the plan.
 func launchChaosState(t *testing.T, inj *fault.Injector, checkpointing bool, arm func(*Job)) (*Job, *byteSink) {
 	t.Helper()
-	g, sink := keyedJoinJob(t)
+	return launchChaosStateKeyed(t, inj, checkpointing, splitKeyer{}, arm)
+}
+
+// launchChaosStateKeyed is launchChaosState with a chosen keyer.
+func launchChaosStateKeyed(t *testing.T, inj *fault.Injector, checkpointing bool, keyer splitKeyer, arm func(*Job)) (*Job, *byteSink) {
+	t.Helper()
+	g, sink := keyedJoinJob(t, keyer)
 	job, err := Launch(g, Assignment{0, 1, 1, 1, 1}, Options{
 		DisableElasticity: true,
 		// Backpressure instead of drops, and a small retransmit ring so the
@@ -259,6 +270,51 @@ func TestChaosStateExactlyOnceByteIdentical(t *testing.T) {
 	}
 	if st.Checkpoints == 0 {
 		t.Error("no checkpoint ever committed")
+	}
+}
+
+// TestChaosStateRecoversFromCommittedCut runs the acceptance test's faults
+// on a paced keyer, so the importing PE commits checkpoints between the
+// panics and every recovery restores a committed cut and replays from its
+// watermark. (Unpaced, a fast host can finish all three recoveries before
+// the first commit, and each one replays the whole stream from zero.) The
+// released output must still be byte-identical to the golden stream.
+func TestChaosStateRecoversFromCommittedCut(t *testing.T) {
+	inj := fault.New(42)
+	job, sink := launchChaosStateKeyed(t, inj, true, splitKeyer{pace: 32}, func(j *Job) {
+		joinSite := fault.OpSite(1, int(j.PEs[1].Plan.LocalOf[2]))
+		inj.Arm(fault.OpPanic, joinSite, fault.Plan{EveryN: 4000, MaxFires: 3})
+		inj.Arm(fault.ConnKill, 0, fault.Plan{EveryN: 2500, MaxFires: 2})
+		inj.Arm(fault.CkptCrash, 1, fault.Plan{Nth: 2})
+	})
+	waitSink(t, sink, chaosStateWant, 120*time.Second)
+	if !job.DrainAndStop(30 * time.Second) {
+		t.Fatal("faulted run did not drain")
+	}
+	restores := 0
+	for _, ev := range job.FlightRecorder().Events() {
+		if ev.Kind != obs.EvRestore || ev.PE != 1 || ev.Detail != "quarantine" {
+			continue
+		}
+		restores++
+		if ev.B == 0 {
+			t.Errorf("recovery %d found no committed epoch; the pacing no longer forces cut restores", restores)
+		}
+	}
+	if restores != 3 {
+		t.Errorf("quarantine recoveries = %d, want 3", restores)
+	}
+	if out := sink.output(); !bytes.Equal(out, goldenOutput()) {
+		prev, gaps := uint64(chaosStateKeys-2), 0
+		for off := 0; off < len(out); off += 16 {
+			seq := binary.LittleEndian.Uint64(out[off:])
+			if seq != prev+1 {
+				gaps++
+			}
+			prev = seq
+		}
+		t.Fatalf("output not byte-identical to golden: %d of %d records, %d sequence breaks",
+			len(out)/16, chaosStateWant, gaps)
 	}
 }
 

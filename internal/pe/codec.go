@@ -16,38 +16,28 @@ import (
 	"streamelastic/internal/spl"
 )
 
-// maxFrameBytes bounds a single encoded frame (v1 tuple or v2 batch),
-// protecting readers from corrupt or hostile length prefixes.
+// maxFrameBytes bounds a single encoded batch frame, protecting readers
+// from corrupt or hostile length prefixes.
 const maxFrameBytes = 16 << 20
 
-// v1 frame layout (little endian):
-//
-//	u32 frameLen (bytes after this field; high bit clear)
-//	u64 wireSeq (per-stream transport sequence, 1-based; the reconnect
-//	            protocol's resume/ack/dedup currency — distinct from the
-//	            application-level Tuple.Seq below)
-//	u64 seq, u64 key, i64 time
-//	f64 num1, f64 num2
-//	u32 textLen, text bytes
-//	u32 payloadLen, payload bytes
-const fixedHeaderBytes = 8 + 8 + 8 + 8 + 8 + 8 + 4 + 4
-
-// batchFrameFlag is the high bit of the u32 length prefix and marks a v2
-// batch frame. It is unambiguous because a v1 frameLen never exceeds
-// maxFrameBytes (16 MiB < 2^31), and a v1-only decoder that reads a flagged
-// prefix sees an impossibly large length and fails closed.
+// batchFrameFlag is the high bit of the u32 length prefix and marks a batch
+// frame, the only frame format on the wire. A prefix without it can only
+// come from a hostile or stale peer (the retired frame-per-tuple format left
+// the bit clear), and decodeFrame rejects it.
 const batchFrameFlag = uint32(1) << 31
 
-// v2 batch frame layout (little endian):
+// Batch frame layout (little endian):
 //
 //	u32 frameLen | batchFrameFlag (bytes after this field)
 //	u64 baseSeq (wire sequence of the first tuple; tuple i carries
-//	            baseSeq+i implicitly — per-tuple wire seqs never hit the wire)
+//	            baseSeq+i implicitly — per-tuple wire seqs never hit the wire.
+//	            The wire sequence is the reconnect protocol's resume/ack/dedup
+//	            currency, distinct from the application-level Tuple.Seq)
 //	u32 count (tuples in the batch, 1..maxBatchTuples)
 //	count zigzag-varint record lengths, each a delta from the previous
 //	      record's length (the first from 0) — uniform tuples cost 1 byte
 //	      for the first and 1 zero byte per subsequent tuple
-//	count records, concatenated; each record is the v1 body minus wireSeq:
+//	count records, concatenated:
 //	      u64 seq, u64 key, i64 time, f64 num1, f64 num2,
 //	      u32 textLen, text bytes, u32 payloadLen, payload bytes
 const (
@@ -78,34 +68,6 @@ const batchTargetBytes = 64 << 10
 // frames leave in one syscall.
 const wireBufBytes = 64 << 10
 
-// marshalFrame appends one tuple frame (length prefix included) carrying
-// wire sequence wireSeq to dst[:0], returning the extended slice. The
-// retransmit ring marshals into its per-slot buffers through this, so a
-// staged frame's bytes outlive the pooled tuple.
-func marshalFrame(dst []byte, wireSeq uint64, t *spl.Tuple) ([]byte, error) {
-	frameLen := fixedHeaderBytes + len(t.Text) + len(t.Payload)
-	if frameLen > maxFrameBytes {
-		return nil, fmt.Errorf("pe: tuple frame %d bytes exceeds limit %d", frameLen, maxFrameBytes)
-	}
-	need := 4 + frameLen
-	if cap(dst) < need {
-		dst = make([]byte, 0, need)
-	}
-	b := dst[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(frameLen))
-	b = binary.LittleEndian.AppendUint64(b, wireSeq)
-	b = binary.LittleEndian.AppendUint64(b, t.Seq)
-	b = binary.LittleEndian.AppendUint64(b, t.Key)
-	b = binary.LittleEndian.AppendUint64(b, uint64(t.Time))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Num1))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Num2))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Text)))
-	b = append(b, t.Text...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Payload)))
-	b = append(b, t.Payload...)
-	return b, nil
-}
-
 // zigzag maps a signed delta to an unsigned varint-friendly value (small
 // magnitudes of either sign encode short); unzigzag inverts it.
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
@@ -128,10 +90,10 @@ func batchFrameAdd(t *spl.Tuple, prevRec int) int {
 	return uvarintLen(zigzag(int64(rec-prevRec))) + rec
 }
 
-// marshalBatchFrame appends one v2 batch frame (length prefix included)
+// marshalBatchFrame appends one batch frame (length prefix included)
 // carrying ts as wire sequences baseSeq..baseSeq+len(ts)-1 to dst[:0],
-// returning the extended slice. Like marshalFrame it writes into the
-// retransmit ring's per-slot buffers, so the frame bytes outlive the pooled
+// returning the extended slice. The retransmit ring marshals into its
+// per-slot buffers through this, so the frame bytes outlive the pooled
 // tuples.
 func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, error) {
 	if len(ts) == 0 || len(ts) > maxBatchTuples {
@@ -174,34 +136,13 @@ func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, err
 	return b, nil
 }
 
-// encoder writes tuples to a stream in frame format.
+// encoder writes marshalled frames to a stream through a buffered writer.
 type encoder struct {
-	w   *bufio.Writer
-	buf []byte
-	seq uint64 // wire sequence of the last frame written by writeFrame
+	w *bufio.Writer
 }
 
 func newEncoder(w io.Writer) *encoder {
 	return &encoder{w: bufio.NewWriterSize(w, wireBufBytes)}
-}
-
-// writeFrame appends one tuple frame to the buffered writer without
-// flushing, returning the frame's wire size (length prefix included). The
-// wire sequence auto-increments from 1; the reliable transport writes
-// retransmit-ring slots via writeBytes instead, where it controls the
-// sequence. The scratch buffer is reused across calls, so steady-state
-// encoding is allocation-free.
-func (e *encoder) writeFrame(t *spl.Tuple) (int, error) {
-	b, err := marshalFrame(e.buf, e.seq+1, t)
-	if err != nil {
-		return 0, err
-	}
-	e.buf = b
-	if _, err := e.w.Write(b); err != nil {
-		return 0, err
-	}
-	e.seq++
-	return len(b), nil
 }
 
 // writeBytes appends an already-marshalled frame to the buffered writer.
@@ -215,17 +156,7 @@ func (e *encoder) flush() error { return e.w.Flush() }
 // buffered reports how many encoded bytes await a flush.
 func (e *encoder) buffered() int { return e.w.Buffered() }
 
-// encode writes one frame and flushes immediately: the single-frame path
-// used by tests and by the per-tuple-flush baseline benchmark. The batched
-// transport calls writeFrame/flush separately.
-func (e *encoder) encode(t *spl.Tuple) error {
-	if _, err := e.writeFrame(t); err != nil {
-		return err
-	}
-	return e.flush()
-}
-
-// decoder reads tuple frames from a stream.
+// decoder reads batch frames from a stream.
 type decoder struct {
 	r     *bufio.Reader
 	nread uint64
@@ -255,89 +186,16 @@ func (d *decoder) wireSeq() uint64 { return d.seq }
 // lastFrameBytes returns the wire size of the last decoded frame.
 func (d *decoder) lastFrameBytes() int { return d.last }
 
-// decode reads one tuple, returning io.EOF (possibly wrapped) when the
-// stream ends cleanly. The frame bytes land once in a pooled, ref-counted
-// arena and the tuple's Payload is a zero-copy *view* into it — no
-// per-frame payload copy, no payload-pool round trip. The tuple struct
-// comes from the spl pool and holds the arena reference; the PR 1 ownership
-// protocol extends across the wire, so the consumer must Release the tuple
-// (directly or via the runtime) when its life ends, which is what lets the
-// arena buffer recycle.
-func (d *decoder) decode() (*spl.Tuple, error) {
-	if _, err := io.ReadFull(d.r, d.lenBuf[:]); err != nil {
-		return nil, err
-	}
-	return d.decodeV1(binary.LittleEndian.Uint32(d.lenBuf[:]))
-}
-
-// decodeV1 reads and materializes a v1 frame body given its raw length
-// prefix. A batch-flagged prefix fails the range check below (the flagged
-// value exceeds maxFrameBytes), which is exactly the fail-closed behaviour a
-// v1-only peer must have.
-func (d *decoder) decodeV1(frameLen uint32) (*spl.Tuple, error) {
-	if frameLen < fixedHeaderBytes || frameLen > maxFrameBytes {
-		return nil, fmt.Errorf("pe: invalid frame length %d", frameLen)
-	}
-	a := spl.AcquireArena(int(frameLen))
-	b := a.Bytes()
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		a.Release()
-		return nil, fmt.Errorf("pe: truncated frame: %w", err)
-	}
-	t := spl.AcquireTuple()
-	// fail drops both the creator's arena reference and the half-built
-	// tuple (which never attached, so releasing it cannot double-drop).
-	fail := func(err error) (*spl.Tuple, error) {
-		t.Release()
-		a.Release()
-		return nil, err
-	}
-	wireSeq := binary.LittleEndian.Uint64(b[0:])
-	t.Seq = binary.LittleEndian.Uint64(b[8:])
-	t.Key = binary.LittleEndian.Uint64(b[16:])
-	t.Time = int64(binary.LittleEndian.Uint64(b[24:]))
-	t.Num1 = math.Float64frombits(binary.LittleEndian.Uint64(b[32:]))
-	t.Num2 = math.Float64frombits(binary.LittleEndian.Uint64(b[40:]))
-	off := 48
-	textLen := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if off+textLen > len(b) {
-		return fail(fmt.Errorf("pe: text length %d overruns frame", textLen))
-	}
-	if textLen > 0 {
-		// Strings are immutable and may outlive the frame (operators stash
-		// them in aggregates), so the text cannot be a view; this is the one
-		// copy decode still pays, and only on text-bearing tuples.
-		t.Text = string(b[off : off+textLen])
-	}
-	off += textLen
-	if off+4 > len(b) {
-		return fail(fmt.Errorf("pe: frame too short for payload length"))
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if off+payloadLen != len(b) {
-		return fail(fmt.Errorf("pe: payload length %d inconsistent with frame", payloadLen))
-	}
-	if payloadLen > 0 {
-		t.AttachArena(a, b[off:off+payloadLen])
-	}
-	// Drop the creator reference: from here the arena lives exactly as long
-	// as the tuple's view (or dies now for payload-less tuples).
-	a.Release()
-	d.seq = wireSeq
-	d.last = 4 + int(frameLen)
-	d.nread += uint64(d.last)
-	return t, nil
-}
-
-// decodeFrame reads one wire frame — v1 single tuple or v2 batch — and
-// materializes its tuples into out, returning the tuple count and the wire
-// sequence of the first tuple (tuple i carries first+i). out must hold at
-// least maxBatchTuples entries. A batch frame's tuples share one pooled
-// arena: the records are read into it once and every payload is a zero-copy
-// view, attached through references pre-taken in a single RetainN. The frame
-// is fully validated before any tuple is built, so a hostile or truncated
+// decodeFrame reads one batch frame and materializes its tuples into out,
+// returning the tuple count and the wire sequence of the first tuple (tuple
+// i carries first+i); io.EOF (possibly wrapped) means the stream ended
+// cleanly. out must hold at least maxBatchTuples entries. The frame's tuples
+// share one pooled arena: the records are read into it once and every
+// payload is a zero-copy view, attached through references pre-taken in a
+// single RetainN. The ownership protocol extends across the wire, so the
+// consumer must Release each tuple (directly or via the runtime) when its
+// life ends, which is what lets the arena recycle. The frame is fully
+// validated before any tuple is built, so a hostile, truncated or unflagged
 // frame fails closed — no tuples escape, the arena is released, and the
 // error poisons the connection.
 func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
@@ -346,16 +204,7 @@ func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
 	}
 	raw := binary.LittleEndian.Uint32(d.lenBuf[:])
 	if raw&batchFrameFlag == 0 {
-		t, err := d.decodeV1(raw)
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(out) < 1 {
-			t.Release()
-			return 0, 0, fmt.Errorf("pe: no output capacity for frame")
-		}
-		out[0] = t
-		return 1, d.seq, nil
+		return 0, 0, fmt.Errorf("pe: frame length prefix %#x lacks the batch flag", raw)
 	}
 	frameLen := raw &^ batchFrameFlag
 	if frameLen < batchHeaderBytes+1+batchRecordFixed || frameLen > maxFrameBytes {
@@ -440,7 +289,9 @@ func (d *decoder) decodeFrame(out []*spl.Tuple) (int, uint64, error) {
 		t.Num2 = math.Float64frombits(binary.LittleEndian.Uint64(r[32:]))
 		textLen := int(binary.LittleEndian.Uint32(r[40:]))
 		if textLen > 0 {
-			// Same copy rationale as decodeV1: strings may outlive the frame.
+			// Strings are immutable and may outlive the frame (operators
+			// stash them in aggregates), so the text cannot be a view; this
+			// is the one copy decode pays, and only on text-bearing tuples.
 			t.Text = string(r[44 : 44+textLen])
 		}
 		if payloadLen := rec - batchRecordFixed - textLen; payloadLen > 0 {

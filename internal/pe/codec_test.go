@@ -10,15 +10,29 @@ import (
 	"streamelastic/internal/spl"
 )
 
+// decodeOne decodes the next frame from dec, which must carry exactly one
+// tuple.
+func decodeOne(tb testing.TB, dec *decoder) (*spl.Tuple, error) {
+	tb.Helper()
+	out := make([]*spl.Tuple, maxBatchTuples)
+	n, _, err := dec.decodeFrame(out)
+	if err != nil {
+		return nil, err
+	}
+	if n != 1 {
+		tb.Fatalf("frame carried %d tuples, want 1", n)
+	}
+	return out[0], nil
+}
+
+// roundTrip sends in through a one-tuple batch frame and decodes it back.
 func roundTrip(t *testing.T, in *spl.Tuple) *spl.Tuple {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := newEncoder(&buf)
-	if err := enc.encode(in); err != nil {
+	frame, err := marshalBatchFrame(nil, 1, []*spl.Tuple{in})
+	if err != nil {
 		t.Fatal(err)
 	}
-	dec := newDecoder(&buf)
-	out, err := dec.decode()
+	out, err := decodeOne(t, newDecoder(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,22 +64,19 @@ func TestCodecEmptyFields(t *testing.T) {
 func TestCodecPropertyRoundTrip(t *testing.T) {
 	f := func(seq, key uint64, ts int64, n1, n2 float64, text string, payload []byte) bool {
 		in := &spl.Tuple{Seq: seq, Key: key, Time: ts, Num1: n1, Num2: n2, Text: text, Payload: payload}
-		var buf bytes.Buffer
-		if err := newEncoder(&buf).encode(in); err != nil {
+		raw, err := marshalBatchFrame(nil, 1, []*spl.Tuple{in, &tupleFixture})
+		if err != nil {
 			return false
 		}
-		raw := append([]byte(nil), buf.Bytes()...) // decoding consumes buf
-		out, err := newDecoder(&buf).decode()
-		if err != nil {
+		out := make([]*spl.Tuple, maxBatchTuples)
+		n, _, err := newDecoder(bytes.NewReader(raw)).decodeFrame(out)
+		if err != nil || n != 2 {
 			return false
 		}
 		// NaN payloads in floats compare unequal; compare bit patterns via
 		// re-encoding instead.
-		var buf2 bytes.Buffer
-		if err := newEncoder(&buf2).encode(out); err != nil {
-			return false
-		}
-		return bytes.Equal(raw, buf2.Bytes())
+		again, err := marshalBatchFrame(nil, 1, out[:n])
+		return err == nil && bytes.Equal(raw, again)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -76,80 +87,74 @@ func TestCodecStreamOfTuples(t *testing.T) {
 	var buf bytes.Buffer
 	enc := newEncoder(&buf)
 	for i := 0; i < 100; i++ {
-		if err := enc.encode(&spl.Tuple{Seq: uint64(i), Text: "x"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dec := newDecoder(&buf)
-	for i := 0; i < 100; i++ {
-		out, err := dec.decode()
+		frame, err := marshalBatchFrame(nil, uint64(i)+1, []*spl.Tuple{{Seq: uint64(i), Text: "x"}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Seq != uint64(i) {
-			t.Fatalf("tuple %d decoded as seq %d", i, out.Seq)
+		if _, err := enc.writeBytes(frame); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := dec.decode(); err != io.EOF {
+	if err := enc.flush(); err != nil {
+		t.Fatal(err)
+	}
+	dec := newDecoder(&buf)
+	for i := 0; i < 100; i++ {
+		out, err := decodeOne(t, dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Seq != uint64(i) || dec.wireSeq() != uint64(i)+1 {
+			t.Fatalf("tuple %d decoded as seq %d, wire seq %d", i, out.Seq, dec.wireSeq())
+		}
+	}
+	if _, err := decodeOne(t, dec); err != io.EOF {
 		t.Fatalf("decode past end = %v, want io.EOF", err)
 	}
 }
 
+// TestDecodeRejectsCorruptFrames drives decodeFrame with framing-level
+// corruption of a valid one-tuple batch frame: length prefixes out of
+// range, a truncated body, and record text/payload lengths that disagree
+// with the record. All must fail closed.
 func TestDecodeRejectsCorruptFrames(t *testing.T) {
-	// Oversized length prefix.
-	var buf bytes.Buffer
-	lb := make([]byte, 4)
-	binary.LittleEndian.PutUint32(lb, maxFrameBytes+1)
-	buf.Write(lb)
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("oversized frame accepted")
+	valid, err := marshalBatchFrame(nil, 1, []*spl.Tuple{{Text: "t", Payload: []byte{1, 2, 3, 4}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Undersized length prefix.
-	buf.Reset()
-	binary.LittleEndian.PutUint32(lb, 4)
-	buf.Write(lb)
-	buf.Write(make([]byte, 4))
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("undersized frame accepted")
+	// The single record starts after the prefix, header, and its one-byte
+	// length varint; text length sits 40 bytes in, payload length after
+	// the text.
+	rec := 4 + batchHeaderBytes + 1
+	cases := map[string]func([]byte) []byte{
+		"oversized length": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b, (maxFrameBytes+1)|batchFrameFlag)
+			return b
+		},
+		"undersized length": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b, 4|batchFrameFlag)
+			return b
+		},
+		"truncated body": func(b []byte) []byte { return b[:len(b)-3] },
+		"text overruns record": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[rec+40:], 1000)
+			return b
+		},
+		"inconsistent payload length": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[rec+45:], 3)
+			return b
+		},
 	}
-
-	// Text length overrunning the frame.
-	buf.Reset()
-	frame := make([]byte, fixedHeaderBytes)
-	binary.LittleEndian.PutUint32(frame[48:], 1000) // text length
-	binary.LittleEndian.PutUint32(lb, uint32(len(frame)))
-	buf.Write(lb)
-	buf.Write(frame)
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("overrunning text length accepted")
-	}
-
-	// Truncated frame body.
-	buf.Reset()
-	binary.LittleEndian.PutUint32(lb, 100)
-	buf.Write(lb)
-	buf.Write(make([]byte, 10))
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("truncated frame accepted")
-	}
-
-	// Inconsistent payload length.
-	buf.Reset()
-	frame = make([]byte, fixedHeaderBytes+8)
-	binary.LittleEndian.PutUint32(frame[48:], 0)          // text len
-	binary.LittleEndian.PutUint32(frame[52:], 4)          // payload len, but 8 bytes remain
-	binary.LittleEndian.PutUint32(lb, uint32(len(frame))) //nolint:gosec
-	buf.Write(lb)
-	buf.Write(frame)
-	if _, err := newDecoder(&buf).decode(); err == nil {
-		t.Fatal("inconsistent payload length accepted")
+	for name, corrupt := range cases {
+		b := corrupt(append([]byte(nil), valid...))
+		if _, err := decodeOne(t, newDecoder(bytes.NewReader(b))); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
 func TestEncodeRejectsOversizedTuple(t *testing.T) {
-	enc := newEncoder(io.Discard)
-	if err := enc.encode(&spl.Tuple{Payload: make([]byte, maxFrameBytes)}); err == nil {
+	if _, err := marshalBatchFrame(nil, 1, []*spl.Tuple{{Payload: make([]byte, maxFrameBytes)}}); err == nil {
 		t.Fatal("oversized tuple accepted")
 	}
 }
@@ -172,8 +177,9 @@ func batchFixtureTuples() []*spl.Tuple {
 	}
 }
 
-// batchWireFixture builds a canonical multi-frame wire buffer — batch, v1,
-// batch — and the tuples each frame carries, plus each frame's end offset.
+// batchWireFixture builds a canonical three-frame wire buffer — two
+// tuples, one, two — and the tuples the frames carry, plus each frame's end
+// offset.
 func batchWireFixture(tb testing.TB) (wire []byte, want []*spl.Tuple, ends []int) {
 	tb.Helper()
 	ts := batchFixtureTuples()
@@ -181,8 +187,8 @@ func batchWireFixture(tb testing.TB) (wire []byte, want []*spl.Tuple, ends []int
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v1 := &spl.Tuple{Seq: 200, Key: 9, Text: "solo", Payload: []byte{7}}
-	f2, err := marshalFrame(nil, 3, v1)
+	solo := &spl.Tuple{Seq: 200, Key: 9, Text: "solo", Payload: []byte{7}}
+	f2, err := marshalBatchFrame(nil, 3, []*spl.Tuple{solo})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -194,7 +200,7 @@ func batchWireFixture(tb testing.TB) (wire []byte, want []*spl.Tuple, ends []int
 	wire = append(wire, f2...)
 	wire = append(wire, f3...)
 	want = append(want, ts[:2]...)
-	want = append(want, v1)
+	want = append(want, solo)
 	want = append(want, ts[2:]...)
 	ends = []int{len(f1), len(f1) + len(f2), len(wire)}
 	return wire, want, ends
@@ -339,8 +345,11 @@ func TestMarshalBatchFrameRejects(t *testing.T) {
 // TestDecodeFrameRejectsHostileBatchHeaders drives decodeFrame with
 // synthetic hostile batch headers that a byte flip could produce: zero and
 // overflowing base sequences, counts outside [1, maxBatchTuples], record
-// deltas that go negative or huge, and a frame whose records do not tile its
-// length. All must fail closed.
+// deltas that go negative or huge, and a length prefix without
+// batchFrameFlag — the retired frame-per-tuple format, which now only a
+// hostile or stale peer sends. All must fail closed: no tuple reaches out
+// and no frame is accounted. The unflagged prefix is refused before its
+// body is read, so no arena is ever taken for it.
 func TestDecodeFrameRejectsHostileBatchHeaders(t *testing.T) {
 	out := make([]*spl.Tuple, maxBatchTuples)
 	frame := func(mutate func([]byte)) []byte {
@@ -359,33 +368,56 @@ func TestDecodeFrameRejectsHostileBatchHeaders(t *testing.T) {
 		// First delta varint becomes a large negative delta: record length
 		// lands below batchRecordFixed and must be rejected, wrap-safe.
 		"negative record length": func(b []byte) { b[16] = 0xff; b[17] = 0xff; b[18] = 0x7f },
+		"legacy unflagged prefix": func(b []byte) {
+			binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)&^batchFrameFlag)
+		},
 	}
 	for name, mutate := range cases {
-		dec := newDecoder(bytes.NewReader(frame(mutate)))
+		b := frame(mutate)
+		dec := newDecoder(bytes.NewReader(b))
 		if _, _, err := dec.decodeFrame(out); err == nil {
 			t.Fatalf("%s accepted", name)
+		}
+		for i, tp := range out {
+			if tp != nil {
+				t.Fatalf("%s: tuple %d escaped a rejected frame", name, i)
+			}
+		}
+		if dec.bytesRead() != 0 {
+			t.Fatalf("%s: rejected frame accounted %d bytes", name, dec.bytesRead())
+		}
+		if name == "legacy unflagged prefix" && dec.r.Buffered() != len(b)-4 {
+			t.Fatalf("legacy prefix: body read (%d of %d bytes left), want it untouched",
+				dec.r.Buffered(), len(b)-4)
 		}
 	}
 }
 
-// TestDecodeIsZeroCopy pins the arena-view decode: the decoded tuple's
-// payload must be a view into the frame's arena buffer (no per-frame copy,
-// no payload-pool round trip), siblings from successive frames may be
-// released in any order, and a corrupt frame must not strand an arena
-// reference.
+// TestDecodeIsZeroCopy pins the arena-view decode across frames: each
+// decoded payload must be a view into its frame's arena buffer (no
+// per-frame copy, no payload-pool round trip), siblings from successive
+// frames may be released in any order, and a payload-less tuple must not
+// hold an arena.
 func TestDecodeIsZeroCopy(t *testing.T) {
 	var buf bytes.Buffer
 	enc := newEncoder(&buf)
 	for i := 0; i < 3; i++ {
 		in := &spl.Tuple{Seq: uint64(i), Payload: []byte{byte(i), 1, 2, 3}}
-		if err := enc.encode(in); err != nil {
+		frame, err := marshalBatchFrame(nil, uint64(i)+1, []*spl.Tuple{in})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := enc.writeBytes(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.flush(); err != nil {
+		t.Fatal(err)
 	}
 	dec := newDecoder(&buf)
 	tuples := make([]*spl.Tuple, 3)
 	for i := range tuples {
-		out, err := dec.decode()
+		out, err := decodeOne(t, dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +437,6 @@ func TestDecodeIsZeroCopy(t *testing.T) {
 	tuples[2].Release()
 	tuples[0].Release()
 
-	// Payload-less tuples must not hold an arena.
 	empty := roundTrip(t, &spl.Tuple{Seq: 9})
 	if empty.ArenaBacked() {
 		t.Fatal("payload-less tuple retained an arena reference")

@@ -12,44 +12,59 @@ import (
 	"streamelastic/internal/spl"
 )
 
-// FuzzDecode hardens the wire decoder against arbitrary byte streams: it
-// must either return an error or a well-formed tuple, and never panic or
-// over-allocate. Run with `go test -fuzz=FuzzDecode ./internal/pe` for a
-// full campaign; the seed corpus runs on every ordinary `go test`.
+// FuzzDecode hardens batch frame body validation: the fuzzer's bytes are
+// the body of one frame behind a well-formed flagged length prefix, so
+// every input reaches the header, record-length, and record checks (random
+// prefixes, as FuzzBatchFrameDecode feeds them, rarely get that far).
+// decodeFrame must either fail closed or hand back well-formed tuples whose
+// content the body bounds, and never panic or over-allocate. Run with
+// `go test -fuzz=FuzzDecode ./internal/pe` for a full campaign; the seed
+// corpus runs on every ordinary `go test`.
 func FuzzDecode(f *testing.F) {
-	// Seeds: a valid frame, truncations, hostile lengths.
-	var valid bytes.Buffer
-	enc := newEncoder(&valid)
-	_ = enc.encode(&tupleFixture)
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
+	// Seeds: a valid body, a truncation, and hostile headers.
+	valid, err := marshalBatchFrame(nil, 1, []*spl.Tuple{&tupleFixture, &tupleFixture})
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := valid[4:]
+	f.Add(body)
+	f.Add(body[:len(body)/2])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	huge := make([]byte, 8)
-	binary.LittleEndian.PutUint32(huge, maxFrameBytes)
+	huge := make([]byte, batchHeaderBytes)
+	binary.LittleEndian.PutUint64(huge, 1)
+	binary.LittleEndian.PutUint32(huge[8:], maxBatchTuples)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := newDecoder(bytes.NewReader(data))
-		for i := 0; i < 4; i++ {
-			tp, err := dec.decode()
-			if err != nil {
-				return
-			}
-			if tp == nil {
-				t.Fatal("nil tuple without error")
-			}
-			// Decoded strings/payloads must be bounded by the input size.
-			if len(tp.Text)+len(tp.Payload) > len(data) {
-				t.Fatalf("decoded %d bytes of content from %d input bytes",
-					len(tp.Text)+len(tp.Payload), len(data))
-			}
+		if len(data) > maxFrameBytes {
+			return
 		}
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(data))|batchFrameFlag)
+		frame = append(frame, data...)
+		out := make([]*spl.Tuple, maxBatchTuples)
+		n, first, err := newDecoder(bytes.NewReader(frame)).decodeFrame(out)
+		if err != nil {
+			return
+		}
+		if n < 1 || first == 0 {
+			t.Fatalf("decodeFrame returned %d tuples from base sequence %d without error", n, first)
+		}
+		// Decoded strings/payloads must be bounded by the input size.
+		content := 0
+		for _, tp := range out[:n] {
+			content += len(tp.Text) + len(tp.Payload)
+		}
+		if content > len(data) {
+			t.Fatalf("decoded %d bytes of content from %d input bytes", content, len(data))
+		}
+		releaseAll(out[:n])
 	})
 }
 
 // FuzzRoundTrip checks encode/decode inversion on fuzzer-chosen attribute
-// values.
+// values, with the fixture after the fuzzed tuple so the second record
+// length is a delta of either sign.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(2), int64(3), 4.5, 6.7, "text", []byte{1, 2})
 	f.Add(uint64(0), uint64(0), int64(-1), -0.0, 1e308, "", []byte{})
@@ -57,21 +72,28 @@ func FuzzRoundTrip(f *testing.F) {
 		in := tupleFixture
 		in.Seq, in.Key, in.Time, in.Num1, in.Num2, in.Text, in.Payload =
 			seq, key, ts, n1, n2, text, payload
-		var buf bytes.Buffer
-		if err := newEncoder(&buf).encode(&in); err != nil {
-			if len(text)+len(payload) > maxFrameBytes-fixedHeaderBytes {
+		frame, err := marshalBatchFrame(nil, 1, []*spl.Tuple{&in, &tupleFixture})
+		if err != nil {
+			if batchHeaderBytes+batchFrameAdd(&in, 0)+batchFrameAdd(&tupleFixture, batchRecordBytes(&in)) > maxFrameBytes {
 				return // oversized tuples are rejected by contract
 			}
 			t.Fatalf("encode: %v", err)
 		}
-		out, err := newDecoder(&buf).decode()
+		out := make([]*spl.Tuple, maxBatchTuples)
+		n, first, err := newDecoder(bytes.NewReader(frame)).decodeFrame(out)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if out.Seq != seq || out.Key != key || out.Time != ts ||
-			out.Text != text || !bytes.Equal(out.Payload, normalizeEmpty(payload)) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
+		if n != 2 || first != 1 {
+			t.Fatalf("decoded %d tuples from base sequence %d, want 2 from 1", n, first)
 		}
+		got := out[0]
+		if got.Seq != seq || got.Key != key || got.Time != ts ||
+			got.Text != text || !bytes.Equal(got.Payload, normalizeEmpty(payload)) {
+			t.Fatalf("round trip mismatch: %+v vs %+v", in, got)
+		}
+		checkFrame(t, 1, &tupleFixture, out[1])
+		releaseAll(out[:n])
 	})
 }
 
@@ -82,12 +104,12 @@ func normalizeEmpty(b []byte) []byte {
 	return b
 }
 
-// FuzzBatchedFrames hardens the batched wire path: several frames coalesced
-// into one buffer (exactly what the writer goroutine produces between
-// flushes) must round-trip through the pooled decoder, survive truncation at
-// any offset with every intact prefix frame still decoding exactly, and
-// never panic on a hostile byte flip anywhere in the stream — including the
-// length prefixes.
+// FuzzBatchedFrames hardens the batched wire path: several batch frames of
+// one to three tuples coalesced into one buffer (exactly what the writer
+// goroutine produces between flushes) must round-trip through the pooled
+// decoder, survive truncation at any offset with every intact prefix frame
+// still decoding exactly, and never panic on a hostile byte flip anywhere
+// in the stream — including the length prefixes.
 func FuzzBatchedFrames(f *testing.F) {
 	f.Add(uint8(3), uint16(10), uint16(2), byte(0xff), "hello", []byte{1, 2, 3})
 	f.Add(uint8(8), uint16(0), uint16(0), byte(0x00), "", []byte{})
@@ -104,28 +126,40 @@ func FuzzBatchedFrames(f *testing.F) {
 		}
 
 		// Coalesce n distinct frames into one buffer, flushing once at the
-		// end, and record where each frame ends on the wire.
+		// end, and record where each frame ends on the wire and how many
+		// tuples it carries.
 		var buf bytes.Buffer
 		enc := newEncoder(&buf)
 		ends := make([]int, n)
-		want := make([]spl.Tuple, n)
+		counts := make([]int, n)
+		var want []spl.Tuple
 		off := 0
 		for i := 0; i < n; i++ {
-			in := tupleFixture
-			in.Seq = uint64(i)
-			in.Key = uint64(i)*7 + 1
-			in.Time = int64(i) - 3
-			in.Num1 = float64(i) * 1.5
-			in.Num2 = -float64(i)
-			in.Text = text[:len(text)*(i+1)/n]
-			in.Payload = payload[:len(payload)*(n-i)/n]
-			nb, err := enc.writeFrame(&in)
+			counts[i] = i%3 + 1
+			ts := make([]*spl.Tuple, counts[i])
+			for j := range ts {
+				k := len(want)
+				in := tupleFixture
+				in.Seq = uint64(k)
+				in.Key = uint64(k)*7 + 1
+				in.Time = int64(k) - 3
+				in.Num1 = float64(k) * 1.5
+				in.Num2 = -float64(k)
+				in.Text = text[:len(text)*(i+1)/n]
+				in.Payload = payload[:len(payload)*(n-i)/n]
+				want = append(want, in)
+				ts[j] = &in
+			}
+			frame, err := marshalBatchFrame(nil, uint64(len(want)-counts[i])+1, ts)
 			if err != nil {
-				t.Fatalf("writeFrame %d: %v", i, err)
+				t.Fatalf("marshal frame %d: %v", i, err)
+			}
+			nb, err := enc.writeBytes(frame)
+			if err != nil {
+				t.Fatalf("write frame %d: %v", i, err)
 			}
 			off += nb
 			ends[i] = off
-			want[i] = in
 		}
 		if err := enc.flush(); err != nil {
 			t.Fatalf("flush: %v", err)
@@ -135,18 +169,33 @@ func FuzzBatchedFrames(f *testing.F) {
 			t.Fatalf("wire is %d bytes, frames summed to %d", len(wire), off)
 		}
 
+		// decodeFrames decodes k frames from dec, checking every tuple
+		// against want in order.
+		out := make([]*spl.Tuple, maxBatchTuples)
+		decodeFrames := func(dec *decoder, k int, what string) {
+			wi := 0
+			for i := 0; i < k; i++ {
+				got, first, err := dec.decodeFrame(out)
+				if err != nil {
+					t.Fatalf("%s: frame %d: %v", what, i, err)
+				}
+				if got != counts[i] || first != uint64(wi)+1 {
+					t.Fatalf("%s: frame %d carried %d tuples from %d, want %d from %d",
+						what, i, got, first, counts[i], wi+1)
+				}
+				for j := 0; j < got; j++ {
+					checkFrame(t, wi, &want[wi], out[j])
+					wi++
+				}
+				releaseAll(out[:got])
+			}
+		}
+
 		// Intact buffer: every frame round-trips through the pooled decoder,
 		// the byte meter matches the wire, and the stream ends cleanly.
 		dec := newDecoder(bytes.NewReader(wire))
-		for i := 0; i < n; i++ {
-			out, err := dec.decode()
-			if err != nil {
-				t.Fatalf("frame %d: %v", i, err)
-			}
-			checkFrame(t, i, &want[i], out)
-			out.Release()
-		}
-		if _, err := dec.decode(); err == nil {
+		decodeFrames(dec, n, "intact")
+		if _, _, err := dec.decodeFrame(out); err == nil {
 			t.Fatal("decode past the final frame succeeded")
 		}
 		if dec.bytesRead() != uint64(len(wire)) {
@@ -163,15 +212,8 @@ func FuzzBatchedFrames(f *testing.F) {
 			}
 		}
 		dec = newDecoder(bytes.NewReader(wire[:c]))
-		for i := 0; i < complete; i++ {
-			out, err := dec.decode()
-			if err != nil {
-				t.Fatalf("cut at %d: intact frame %d failed: %v", c, i, err)
-			}
-			checkFrame(t, i, &want[i], out)
-			out.Release()
-		}
-		if _, err := dec.decode(); err == nil {
+		decodeFrames(dec, complete, fmt.Sprintf("cut at %d", c))
+		if _, _, err := dec.decodeFrame(out); err == nil {
 			t.Fatalf("cut at %d: decode of incomplete frame %d succeeded", c, complete)
 		}
 
@@ -182,15 +224,18 @@ func FuzzBatchedFrames(f *testing.F) {
 		mut[int(mutPos)%len(mut)] ^= mutVal | 1
 		dec = newDecoder(bytes.NewReader(mut))
 		for i := 0; i <= n; i++ {
-			out, err := dec.decode()
+			got, _, err := dec.decodeFrame(out)
 			if err != nil {
 				break
 			}
-			if len(out.Text)+len(out.Payload) > len(mut) {
-				t.Fatalf("mutated stream decoded %d content bytes from %d input bytes",
-					len(out.Text)+len(out.Payload), len(mut))
+			content := 0
+			for _, tp := range out[:got] {
+				content += len(tp.Text) + len(tp.Payload)
 			}
-			out.Release()
+			if content > len(mut) {
+				t.Fatalf("mutated stream decoded %d content bytes from %d input bytes", content, len(mut))
+			}
+			releaseAll(out[:got])
 		}
 	})
 }
@@ -201,7 +246,8 @@ func FuzzBatchedFrames(f *testing.F) {
 // panic, and a frame that does decode must never hand back more content
 // than its own wire bytes (the arena view cannot over-read its block). The
 // committed seed corpus under testdata/fuzz covers valid multi-batch
-// buffers, v1/v2 mixes, truncations, and targeted header/delta flips;
+// buffers, truncations, hostile and unflagged (legacy) length prefixes, and
+// targeted header/delta flips;
 // regenerate it with PE_GEN_CORPUS=1 go test -run TestGenBatchFrameCorpus.
 // Deterministic every-offset truncation and every-byte flips run in
 // TestBatchFrameTruncationEveryOffset and TestBatchFrameFlipEveryByte on
@@ -251,7 +297,7 @@ func batchFuzzSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	wire, _, ends := batchWireFixture(tb)
 	seeds := [][]byte{
-		wire,                     // valid batch, v1, batch mix
+		wire,                     // three valid batch frames
 		wire[:ends[0]],           // one whole batch frame
 		wire[:ends[0]-7],         // truncated mid-record
 		wire[:6],                 // truncated mid-header
@@ -270,6 +316,13 @@ func batchFuzzSeeds(tb testing.TB) [][]byte {
 	badDelta := append([]byte(nil), wire[:ends[0]]...)
 	badDelta[16], badDelta[17], badDelta[18] = 0xff, 0xff, 0x7f
 	seeds = append(seeds, badDelta)
+	// A whole frame whose prefix lacks the batch flag: the retired
+	// frame-per-tuple format, sent only by a hostile or stale peer.
+	legacy := append([]byte(nil), wire[:ends[0]]...)
+	binary.LittleEndian.PutUint32(legacy, binary.LittleEndian.Uint32(legacy)&^batchFrameFlag)
+	seeds = append(seeds, legacy)
+	// Prefix claiming the largest legal frame over an empty stream.
+	seeds = append(seeds, binary.LittleEndian.AppendUint32(nil, maxFrameBytes|batchFrameFlag))
 	return seeds
 }
 

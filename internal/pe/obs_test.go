@@ -65,8 +65,11 @@ func TestWatchdogTripDumpsFlightRecorder(t *testing.T) {
 	}
 	defer job.Stop()
 
+	// The header lands before the dump's event lines, so wait for the trip
+	// event line itself: it is recorded before the dump starts, and the
+	// earlier fault event precedes it in the dump.
 	deadline := time.Now().Add(30 * time.Second)
-	for !strings.Contains(dump.String(), "watchdog trip pe0") && time.Now().Before(deadline) {
+	for !strings.Contains(dump.String(), "watchdog-trip") && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	text := dump.String()

@@ -6,10 +6,9 @@ import (
 	"streamelastic/internal/spl"
 )
 
-// retransSlot holds one staged frame's encoded bytes until the receiver
-// acknowledges its last wire sequence. A slot covers the inclusive sequence
-// range [first, last] — a single tuple for v1 frames, a whole batch for v2
-// frames. The buffer is reused when the slot is overwritten, so steady-state
+// retransSlot holds one staged batch frame's encoded bytes until the
+// receiver acknowledges its last wire sequence. A slot covers the batch's
+// inclusive sequence range [first, last]. The buffer is reused when the slot is overwritten, so steady-state
 // staging allocates nothing once the ring has warmed up to the workload's
 // frame sizes.
 type retransSlot struct {
@@ -37,28 +36,15 @@ func newRetransRing(capacity int) *retransRing {
 }
 
 // full reports whether inserting another frame would overwrite a slot whose
-// sequences are not yet covered by the acked watermark. For per-tuple frames
-// this is exactly the old inFlight >= capacity check; for batch frames it
-// accounts for a slot pinning a whole sequence range.
+// sequences are not yet covered by the acked watermark: the window is
+// counted in frames, and a slot pins its batch's whole sequence range until
+// the last of them is acknowledged.
 func (r *retransRing) full(acked uint64) bool {
 	s := &r.slots[r.count&r.mask]
 	return s.last != 0 && s.last > acked
 }
 
-// putTuple marshals the tuple as v1 frame seq into the next slot and returns
-// the encoded bytes. The caller must have checked full first.
-func (r *retransRing) putTuple(seq uint64, t *spl.Tuple) ([]byte, error) {
-	s := &r.slots[r.count&r.mask]
-	b, err := marshalFrame(s.buf, seq, t)
-	if err != nil {
-		return nil, err
-	}
-	s.first, s.last, s.buf = seq, seq, b
-	r.count++
-	return b, nil
-}
-
-// putBatch marshals ts as one v2 batch frame covering wire sequences
+// putBatch marshals ts as one batch frame covering wire sequences
 // first..first+len(ts)-1 into the next slot and returns the encoded bytes.
 // The caller must have checked full first.
 func (r *retransRing) putBatch(first uint64, ts []*spl.Tuple) ([]byte, error) {

@@ -24,7 +24,7 @@ type TransportConfig struct {
 	// ring is full instead of applying backpressure — latency over
 	// completeness. The default is bounded blocking: a full ring blocks the
 	// producing scheduler thread up to BlockTimeout, matching the natural
-	// backpressure of the old write-per-tuple path, then drops.
+	// backpressure of a blocking socket write, then drops.
 	DropOnFull bool
 	// BlockTimeout bounds a blocked export when DropOnFull is unset
 	// (default 1s); on expiry the tuple is dropped and counted.
@@ -40,12 +40,6 @@ type TransportConfig struct {
 	// to max, with jitter (defaults 10ms / 500ms).
 	ReconnectBaseDelay time.Duration
 	ReconnectMaxDelay  time.Duration
-	// PerTupleFrames selects the v1 wire format: one frame per tuple,
-	// byte-identical to the pre-batch transport (the A/B switch behind
-	// streamrun's -wirebatch flag). The default encodes each writer drain
-	// as one v2 batch frame, amortizing header, retransmit-slot, and
-	// buffer-append costs across the batch.
-	PerTupleFrames bool
 }
 
 const (
@@ -141,16 +135,9 @@ type StreamStats struct {
 	FromPE int
 	ToPE   int
 
-	// Local reports the in-process fast path: tuples crossed as direct ring
-	// handoffs, so Sent/Received/Dropped/DrainSizes are live but the
-	// wire-only counters (bytes, frames, flushes, retransmits, reconnects,
-	// dups, resumes) are truthfully zero.
-	Local bool
-
-	// Send side: tuples encoded onto the wire, wire frames staged (one per
-	// batch by default, one per tuple with PerTupleFrames — Sent/WireFrames
-	// is the batch amortization ratio, WireFrames/Flushes the frames per
-	// flush), tuples dropped (stream not wired, errored, or staging ring
+	// Send side: tuples encoded onto the wire, batch frames staged
+	// (Sent/WireFrames is the batch amortization ratio, WireFrames/Flushes
+	// the frames per flush), tuples dropped (stream not wired, errored, or staging ring
 	// full past the blocking budget), wire bytes written, explicit flush
 	// syscalls, and the writer's staging-ring drain-size histogram (log2
 	// buckets). DrainSizes counts ring drains, not flushes: one drain spans

@@ -52,9 +52,9 @@ const ackEvery = 256
 // ackTickInterval paces the receive side's idle-tail acknowledgements.
 const ackTickInterval = 50 * time.Millisecond
 
-// ackWriteTimeout bounds one acknowledgement write. A legacy sender that
-// never drains its side of the connection (the per-tuple-flush benchmark
-// path) eventually fills the socket buffer; on the first timed-out ack the
+// ackWriteTimeout bounds one acknowledgement write. A sender that never
+// drains its side of the connection (a stalled peer, or a test writing raw
+// frames) eventually fills the socket buffer; on the first timed-out ack the
 // receiver stops acknowledging for that connection instead of wedging.
 const ackWriteTimeout = time.Second
 
@@ -101,8 +101,8 @@ type exportOp struct {
 	rec   *obs.FlightRecorder
 	recPE int32
 
-	mu    sync.Mutex // guards connect/close transitions and conn epochs
-	conn  net.Conn   // current epoch's connection, for close()
+	mu    sync.Mutex    // guards connect/close transitions and conn epochs
+	conn  net.Conn      // current epoch's connection, for close()
 	thaw  chan struct{} // non-nil exactly while the edge is frozen
 	ring  *queue.MPMC[*spl.Tuple]
 	wake  chan struct{}
@@ -116,7 +116,6 @@ type exportOp struct {
 	frozen    atomic.Bool  // migration freeze: writer parks, producers wait
 	failed    atomic.Bool  // permanent: connection lost with no redial address
 	connected atomic.Bool  // current connection attached and healthy
-	local     atomic.Bool  // in-process edge: peer import pops the ring directly
 	progress  atomic.Int64 // unix nanos of the writer's last useful work
 
 	acked  atomic.Uint64 // receiver's acknowledged wire-sequence watermark
@@ -125,7 +124,7 @@ type exportOp struct {
 	seqHigh    atomic.Uint64 // highest wire sequence staged (readable snapshot of nextSeq)
 	retransT   atomic.Uint64 // tuples rewritten on resume (replay accounting)
 	sent       atomic.Uint64 // tuples staged (assigned a wire sequence)
-	wireFrames atomic.Uint64 // frames staged (one per tuple or per batch)
+	wireFrames atomic.Uint64 // batch frames staged
 	dropped    atomic.Uint64 // tuples the stream never staged
 	retrans    atomic.Uint64 // frame writes beyond the first (resume traffic)
 	reconnects atomic.Uint64 // successful re-attaches after a lost connection
@@ -179,65 +178,11 @@ func (x *exportOp) connect(conn net.Conn, addr string) error {
 	return nil
 }
 
-// connectLocal wires the export as the sending half of an in-process edge:
-// the staging ring is created exactly as for a TCP stream — Process keeps
-// its backpressure, drop accounting, and wake protocol — but no writer
-// goroutine, encoder, or connection exists. The co-located peer import pops
-// the ring directly via localPop, so a tuple crosses the edge as one pooled
-// clone handoff with no encode/frame/TCP/decode in between. The edge is
-// in-process and lossless by construction, so the reliability machinery
-// (retransmit window, acks, resume) is exempt and its counters stay zero.
-func (x *exportOp) connectLocal() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	ring, err := queue.NewMPMC[*spl.Tuple](x.cfg.RingCapacity)
-	if err != nil {
-		return fmt.Errorf("pe: export %s staging ring: %w", x.name, err)
-	}
-	x.ring = ring
-	x.wake = make(chan struct{}, 1)
-	x.space = make(chan struct{}, 1)
-	x.quit = make(chan struct{})
-	// No writer goroutine: done starts closed so close() never waits.
-	x.done = make(chan struct{})
-	close(x.done)
-	x.ackSig = make(chan struct{}, 1)
-	x.progress.Store(time.Now().UnixNano())
-	x.local.Store(true)
-	x.connected.Store(true)
-	x.wired.Store(true)
-	return nil
-}
-
-// localPop transfers up to len(batch) staged tuples to the co-located peer
-// import, which owns them outright afterwards. Counters mirror the wire
-// path's bookkeeping at the same point in a tuple's life: sent when it
-// leaves the staging ring, a batch-size sample per drain, progress for the
-// watchdog's stall probe — but bytes and flushes stay zero, because no wire
-// was touched and lying about it would poison the obs series.
-func (x *exportOp) localPop(batch []*spl.Tuple) int {
-	n := x.ring.TryPopN(batch)
-	if n == 0 {
-		return 0
-	}
-	x.batches.record(n)
-	x.sent.Add(uint64(n))
-	x.progress.Store(time.Now().UnixNano())
-	x.signalSpace()
-	return n
-}
-
-// localDrained reports whether a local export is closed with nothing left to
-// pop — the peer import's end-of-stream condition.
-func (x *exportOp) localDrained() bool {
-	return x.closed.Load() && x.ring.Len() == 0
-}
-
 // Process stages the tuple for the writer goroutine. Tuples arriving before
 // the stream is wired, after close, or after a permanent failure are
 // counted as dropped; a full staging ring blocks the producing scheduler
 // thread for a bounded time (the default, preserving the backpressure of
-// the old write-per-tuple path) or drops immediately when DropOnFull is
+// a blocking socket write) or drops immediately when DropOnFull is
 // configured.
 func (x *exportOp) Process(_ int, t *spl.Tuple, _ spl.Emitter) {
 	if !x.wired.Load() || x.closed.Load() || x.failed.Load() {
@@ -579,7 +524,7 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 			}
 		}
 		if st.pHead < len(st.pending) {
-			if err := x.stagePending(sess, st); err != nil {
+			if err := x.stageBatch(sess, st); err != nil {
 				if errors.Is(err, errExportClosing) {
 					x.finalDrain(sess, st)
 				}
@@ -619,7 +564,7 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 		}
 		st.pHead = 0
 		x.signalSpace()
-		if err := x.stagePending(sess, st); err != nil {
+		if err := x.stageBatch(sess, st); err != nil {
 			if errors.Is(err, errExportClosing) {
 				x.finalDrain(sess, st)
 			}
@@ -648,73 +593,16 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 	}
 }
 
-// stagePending assigns wire sequences to the writer's pending tuples,
-// parks their encoded frames in the retransmit window (waiting for
+// stageBatch assigns wire sequences to the writer's pending tuples, parks
+// their encoded frames in the retransmit window (waiting for
 // acknowledgements when the window is full), releases the pooled clones,
-// and writes the frames to the connection. The default encodes each ring
-// drain as v2 batch frames; PerTupleFrames selects the v1 frame-per-tuple
-// wire, byte-identical to the pre-batch transport. Chaos hooks fire here in
-// both modes — see stageBatch for the mid-batch-frame semantics.
-func (x *exportOp) stagePending(sess *connSession, st *writerState) error {
-	if x.cfg.PerTupleFrames {
-		return x.stagePerTuple(sess, st)
-	}
-	return x.stageBatch(sess, st)
-}
-
-// stagePerTuple is the v1 wire: one frame, one retransmit slot, and one
-// chaos-hook evaluation per tuple.
-func (x *exportOp) stagePerTuple(sess *connSession, st *writerState) error {
-	for st.pHead < len(st.pending) {
-		t := st.pending[st.pHead]
-		if err := x.awaitWindow(sess, st); err != nil {
-			return err
-		}
-		seq := st.nextSeq + 1
-		frame, err := st.retr.putTuple(seq, t)
-		if err != nil {
-			// The tuple cannot be framed at all (oversized); count and drop.
-			x.dropped.Add(1)
-			t.Release()
-			st.pending[st.pHead] = nil
-			st.pHead++
-			continue
-		}
-		st.nextSeq = seq
-		x.seqHigh.Store(seq)
-		x.sent.Add(1)
-		x.wireFrames.Add(1)
-		t.Release()
-		st.pending[st.pHead] = nil
-		st.pHead++
-		if x.inj != nil {
-			if x.inj.Fire(fault.ConnKill, x.site) {
-				_ = sess.conn.Close()
-			}
-			if d := x.inj.FireDelay(fault.WriterStall, x.site); d > 0 {
-				time.Sleep(d)
-			}
-			if x.inj.Fire(fault.FrameCorrupt, x.site) {
-				x.corrupts.Add(1)
-				return x.writeCorrupted(sess)
-			}
-		}
-		if err := x.writeBytes(sess, frame); err != nil {
-			return err
-		}
-	}
-	st.pending = st.pending[:0]
-	st.pHead = 0
-	return nil
-}
-
-// stageBatch is the v2 wire: the pending drain is cut into chunks that fit
-// batchTargetBytes (almost always one chunk — a full writerBatchTuples drain
-// of small tuples is a few KiB; bulk tuples split so frames stay pool-sized)
-// and each chunk becomes one batch frame: one
-// marshal, one retransmit slot, one buffered write. Chaos hooks still fire
-// once per tuple, in staging order, so a fault plan's Nth event lands on the
-// same tuple in either wire mode and same-seed event logs stay
+// and writes the frames to the connection. The pending drain is cut into
+// chunks that fit batchTargetBytes (almost always one chunk — a full
+// writerBatchTuples drain of small tuples is a few KiB; bulk tuples split
+// so frames stay pool-sized) and each chunk becomes one batch frame: one
+// marshal, one retransmit slot, one buffered write. Chaos hooks fire once
+// per tuple, in staging order, so a fault plan's Nth event lands on the
+// same tuple however the drain is chunked and same-seed event logs stay
 // byte-identical; the hook *effects* are applied per frame after all of the
 // chunk's events are ranked — a kill closes the socket, a stall sleeps, and
 // a corruption poisons the wire in place of the whole just-staged frame,
@@ -890,7 +778,7 @@ func (x *exportOp) flushSess(sess *connSession) error {
 // to drop-and-count.
 func (x *exportOp) finalDrain(sess *connSession, st *writerState) {
 	st.closing = true
-	if x.stagePending(sess, st) != nil {
+	if x.stageBatch(sess, st) != nil {
 		return
 	}
 	for round := 0; round < 3; round++ {
@@ -906,7 +794,7 @@ func (x *exportOp) finalDrain(sess *connSession, st *writerState) {
 			}
 			st.pHead = 0
 			x.signalSpace()
-			if x.stagePending(sess, st) != nil {
+			if x.stageBatch(sess, st) != nil {
 				return
 			}
 		}
@@ -1029,9 +917,9 @@ func (x *exportOp) BytesSent() uint64 { return x.bytes.Load() }
 // Flushes returns the number of explicit flushes onto the connection.
 func (x *exportOp) Flushes() uint64 { return x.flushes.Load() }
 
-// WireFrames returns the number of frames staged onto the wire — one per
-// tuple with PerTupleFrames, one per batch otherwise. Sent/WireFrames is the
-// batch amortization ratio; WireFrames/Flushes is frames per flush.
+// WireFrames returns the number of batch frames staged onto the wire.
+// Sent/WireFrames is the batch amortization ratio; WireFrames/Flushes is
+// frames per flush.
 func (x *exportOp) WireFrames() uint64 { return x.wireFrames.Load() }
 
 // Retransmits returns the number of frame writes beyond each frame's first.
@@ -1074,27 +962,6 @@ func (x *exportOp) close() {
 	if quit != nil {
 		close(quit)
 		<-done
-	}
-	if x.local.Load() {
-		// No writer goroutine settled the books: leftover staged clones the
-		// peer never popped drop-and-count here so pushed == sent + dropped
-		// converges, exactly as finish() does for a wire stream. The peer
-		// may race a final pop; MPMC keeps the split disjoint.
-		x.connected.Store(false)
-		var batch [writerBatchTuples]*spl.Tuple
-		for {
-			n := x.ring.TryPopN(batch[:])
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				x.dropped.Add(1)
-				batch[i].Release()
-				batch[i] = nil
-			}
-			x.signalSpace()
-		}
-		return
 	}
 	x.mu.Lock()
 	if x.conn != nil {
@@ -1144,20 +1011,13 @@ type importSource struct {
 	// Next touches it.
 	rbatch []*spl.Tuple
 
-	// peer/batch are the in-process fast path: a non-nil peer means this
-	// import pops the co-located export's staging ring directly (no reader
-	// goroutine, injection ring, or connection exists). Only the operator
-	// thread driving Next touches batch.
-	peer  *exportOp
-	batch []*spl.Tuple
-
 	// timer is the reusable idle-poll timer; only the operator thread
 	// driving Next touches it.
 	timer *time.Timer
 
 	received  atomic.Uint64 // unique tuples delivered downstream
 	delivered atomic.Uint64 // highest wire sequence delivered (resume/dedup)
-	frames    atomic.Uint64 // wire frames decoded (v1 or batch)
+	frames    atomic.Uint64 // wire frames decoded
 	dups      atomic.Uint64 // retransmitted tuples dropped by dedup
 	resumes   atomic.Uint64 // connections re-accepted after the first
 	bytes     atomic.Uint64
@@ -1233,10 +1093,10 @@ func (s *importSource) emitWatermark() uint64 { return s.emitted.Load() }
 // released, and the dedup/resume watermarks reset so the next handshake
 // makes the sender retransmit (to, head] from its ring. Called with the
 // engine paused, so no Next is in flight; replayed tuples re-enter the
-// pipeline exactly as live ones. No-op on local edges, closed streams, or
+// pipeline exactly as live ones. No-op on closed streams, or
 // when `to` is ahead of this stream's delivery (foreign watermark).
 func (s *importSource) rewind(to uint64) {
-	if s.peer != nil || s.closed.Load() {
+	if s.closed.Load() {
 		return
 	}
 	s.mu.Lock()
@@ -1264,7 +1124,12 @@ func (s *importSource) rewind(to uint64) {
 	defer poll.Stop()
 	var drain [importBatchMax]*spl.Tuple
 	for {
-		for {
+		// Each pass holds mu and drains only while the request is pending:
+		// applyRewind takes it under mu, and the next epoch pushes the
+		// replay right after, so a pass that ran later would discard
+		// replayed tuples the sender will never send again.
+		s.mu.Lock()
+		for s.pendingRewind == req {
 			n := q.TryPopN(drain[:])
 			if n == 0 {
 				break
@@ -1275,6 +1140,7 @@ func (s *importSource) rewind(to uint64) {
 			}
 			s.signalInSpace()
 		}
+		s.mu.Unlock()
 		select {
 		case <-req.done:
 			return
@@ -1344,17 +1210,6 @@ func (s *importSource) connect(conn net.Conn, ln net.Listener) {
 	go s.readLoop(conn, s.inq, s.done)
 }
 
-// connectLocal wires the import as the receiving half of an in-process
-// edge: Next pops the co-located export's staging ring directly instead of
-// draining a reader goroutine's channel. Must happen before the engine
-// starts, after the export's connectLocal.
-func (s *importSource) connectLocal(exp *exportOp) {
-	s.mu.Lock()
-	s.peer = exp
-	s.batch = make([]*spl.Tuple, importBatchMax)
-	s.mu.Unlock()
-}
-
 func (s *importSource) setConn(conn net.Conn) {
 	s.mu.Lock()
 	s.conn = conn
@@ -1402,8 +1257,7 @@ func (s *importSource) readLoop(conn net.Conn, q *queue.MPMC[*spl.Tuple], done c
 }
 
 // serveConn speaks one connection epoch of the resume protocol: send the
-// delivered watermark as the handshake, then decode frames (v1 single-tuple
-// or v2 batch), dropping tuples whose wire sequences sit at or below the
+// delivered watermark as the handshake, then decode batch frames, dropping tuples whose wire sequences sit at or below the
 // watermark (retransmitted duplicates — within a batch frame the overlap is
 // always a prefix, since sequences ascend) and acknowledging delivery
 // inline every ackEvery frames with a ticker covering the idle tail. A
@@ -1594,9 +1448,6 @@ func (s *importSource) signalInSpace() {
 // yields with true (and no emission) when the stream is idle for a poll
 // interval, and returns false only once the stream has ended and drained.
 func (s *importSource) Next(out spl.Emitter) bool {
-	if s.peer != nil {
-		return s.nextLocal(out)
-	}
 	s.mu.Lock()
 	q, done := s.inq, s.done
 	s.mu.Unlock()
@@ -1658,54 +1509,6 @@ func (s *importSource) Next(out spl.Emitter) bool {
 	}
 }
 
-// nextLocal is the in-process edge's Next: pop a batch straight off the
-// peer export's staging ring and emit it — ownership of the pooled clones
-// transfers to this PE's runtime, which releases them downstream exactly as
-// it would decoded tuples. On an empty ring it parks on the export's wake
-// protocol (the same parked-flag handshake the writer goroutine uses, so
-// Process's wakeWriter nudges the import instead), bounded by the reusable
-// poll timer so engine reconfiguration is never stalled by a quiet edge.
-func (s *importSource) nextLocal(out spl.Emitter) bool {
-	p := s.peer
-	n := p.localPop(s.batch)
-	if n > 0 {
-		for i := 0; i < n; i++ {
-			out.Emit(0, s.batch[i])
-			s.batch[i] = nil
-		}
-		s.received.Add(uint64(n))
-		return true
-	}
-	if s.closed.Load() || p.localDrained() {
-		return false
-	}
-	p.parked.Store(true)
-	if p.ring.Len() > 0 {
-		p.parked.Store(false)
-		return true
-	}
-	if s.timer == nil {
-		s.timer = time.NewTimer(importPollInterval)
-	} else {
-		s.timer.Reset(importPollInterval)
-	}
-	fired := false
-	select {
-	case <-p.wake:
-	case <-p.quit:
-	case <-s.timer.C:
-		fired = true
-	}
-	p.parked.Store(false)
-	if !fired && !s.timer.Stop() {
-		select {
-		case <-s.timer.C:
-		default:
-		}
-	}
-	return true
-}
-
 // emitN hands the first n tuples of the pop scratch downstream — in one
 // EmitN when the emitter is batch-aware, so a cross-PE batch lands straight
 // in a compiled region's source buffer, else tuple by tuple — then counts
@@ -1735,7 +1538,7 @@ func (s *importSource) Received() uint64 { return s.received.Load() }
 // BytesReceived returns the wire bytes of successfully decoded frames.
 func (s *importSource) BytesReceived() uint64 { return s.bytes.Load() }
 
-// FramesReceived returns the number of wire frames decoded (v1 or batch).
+// FramesReceived returns the number of wire frames decoded.
 func (s *importSource) FramesReceived() uint64 { return s.frames.Load() }
 
 // DupsDropped returns the retransmitted duplicates dropped by dedup.

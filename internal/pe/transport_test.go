@@ -2,6 +2,8 @@ package pe
 
 import (
 	"context"
+	"encoding/binary"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -236,64 +238,133 @@ func TestImportIdlePollZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLocalEdgeNoLossNoDuplication is TestStreamNoLossNoDuplication on the
-// in-process fast path: the same two-PE job with LocalEdges routes every
-// cross-PE tuple as a direct ring handoff. Delivery must still be
-// exactly-once with agreeing end-to-end counters, the batch histogram must
-// show coalesced pops, and the wire-only counters must stay truthfully zero
-// — no wire was touched, and the stats must not pretend otherwise.
-func TestLocalEdgeNoLossNoDuplication(t *testing.T) {
-	const n = 12000
-	g, sink := seqJob(t, n)
-	job, err := Launch(g, Assignment{0, 0, 1, 1}, Options{
-		DisableElasticity: true,
-		LocalEdges:        true,
-	})
+// TestRewindKeepsReplay pins the two orderings a checkpoint rewind needs
+// to replay a whole, fresh stream. Its wait may drain the injection ring
+// only while the rewind is pending: the next connection epoch pushes the
+// replay as soon as the reader has applied the rewind, so a drain pass
+// after that would discard replayed tuples the sender never sends again.
+// And it may return only once the rewind is applied: the engine resumes
+// then, and must not pop tuples of the rolled-back epoch. Each cycle
+// rewinds to zero with the previous cycle's frame still in the ring,
+// replays a frame tagged with the cycle on the redial as the export
+// would, pops like the resumed engine, and expects exactly the new frame.
+func TestRewindKeepsReplay(t *testing.T) {
+	const frameTuples = 64
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Start(context.Background()); err != nil {
-		job.Stop()
+	accCh := acceptOne(ln)
+	send, err := dialStream(ln.Addr().String(), 5*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for sink.count.Load() < n && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	acc := <-accCh
+	if acc.err != nil {
+		t.Fatal(acc.err)
 	}
-	if !job.DrainAndStop(30 * time.Second) {
-		t.Fatal("job did not drain")
+	imp := newImportSource("i")
+	imp.connect(acc.conn, ln)
+	defer func() {
+		_ = send.Close()
+		imp.close()
+	}()
+	// The frame of cycle c carries wire sequences 1..frameTuples and
+	// application sequences tagged c<<16 + i.
+	ts := make([]*spl.Tuple, frameTuples)
+	frameOf := func(cycle int) []byte {
+		t.Helper()
+		for i := range ts {
+			ts[i] = spl.AcquireTuple()
+			ts[i].Seq = uint64(cycle+1)<<16 + uint64(i)
+		}
+		frame, err := marshalBatchFrame(nil, 1, ts)
+		releaseAll(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
 	}
-	if sink.dups != 0 {
-		t.Fatalf("%d duplicated tuples", sink.dups)
+	// deliver reads the epoch's handshake, which must be the rolled-back
+	// watermark, then sends the frame and waits for the reader to take it.
+	deliver := func(cycle int) {
+		t.Helper()
+		var hs [8]byte
+		if _, err := io.ReadFull(send, hs[:]); err != nil {
+			t.Fatalf("cycle %d: handshake: %v", cycle, err)
+		}
+		if wm := binary.LittleEndian.Uint64(hs[:]); wm != 0 {
+			t.Fatalf("cycle %d: handshake watermark %d, want 0", cycle, wm)
+		}
+		if _, err := send.Write(frameOf(cycle)); err != nil {
+			t.Fatalf("cycle %d: write: %v", cycle, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for imp.delivered.Load() != frameTuples {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: delivered %d, want %d", cycle, imp.delivered.Load(), frameTuples)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
 	}
-	if len(sink.seen) != n {
-		t.Fatalf("received %d distinct tuples, want %d", len(sink.seen), n)
+	// pushed waits until the reader has pushed n tuples in all (received
+	// counts them once they are in the ring; delivered moves first).
+	pushed := func(cycle int, n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for imp.Received() != n {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: received %d, want %d", cycle, imp.Received(), n)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
 	}
-	stats := job.StreamStats()
-	if len(stats) != 1 {
-		t.Fatalf("stream stats = %+v, want 1 stream", stats)
+	// popFresh pops the ring's head, failing if it is not from cycle's
+	// frame, and returns how many it popped. The rest stays in the ring as
+	// the next cycle's rolled-back epoch.
+	var pop [1]*spl.Tuple
+	popFresh := func(cycle int) int {
+		t.Helper()
+		n := imp.inq.TryPopN(pop[:])
+		for i := 0; i < n; i++ {
+			if tag := int(pop[i].Seq>>16) - 1; tag != cycle {
+				t.Fatalf("cycle %d: popped a tuple of cycle %d after the rewind returned", cycle, tag)
+			}
+		}
+		releaseAll(pop[:n])
+		return n
 	}
-	st := stats[0]
-	if !st.Local {
-		t.Fatal("stream not marked Local despite LocalEdges")
-	}
-	if st.Sent != n || st.Received != n || st.Dropped != 0 {
-		t.Fatalf("stream counters sent=%d received=%d dropped=%d, want %d/%d/0",
-			st.Sent, st.Received, st.Dropped, n, n)
-	}
-	if st.BytesSent != 0 || st.BytesReceived != 0 || st.Flushes != 0 {
-		t.Fatalf("local edge reported wire traffic: bytes=%d/%d flushes=%d, want 0",
-			st.BytesSent, st.BytesReceived, st.Flushes)
-	}
-	if st.Retransmits != 0 || st.Reconnects != 0 || st.DupsDropped != 0 || st.Resumes != 0 {
-		t.Fatalf("local edge exercised reliability machinery: %+v", st)
-	}
-	var batches uint64
-	for _, c := range st.DrainSizes {
-		batches += c
-	}
-	if batches == 0 {
-		t.Fatal("no local pop batches recorded")
+	deliver(-1)
+	for cycle := 0; cycle < 1000; cycle++ {
+		done := make(chan struct{})
+		go func() {
+			imp.rewind(0)
+			close(done)
+		}()
+		// The rewind closes the connection; drain acks until it does, then
+		// redial the way the export's writer resumes.
+		var ack [8]byte
+		for {
+			if _, err := io.ReadFull(send, ack[:]); err != nil {
+				break
+			}
+		}
+		_ = send.Close()
+		if send, err = dialStream(ln.Addr().String(), 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		deliver(cycle)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cycle %d: rewind did not return", cycle)
+		}
+		// The engine resumes as soon as the rewind returns.
+		got := popFresh(cycle)
+		pushed(cycle, uint64(cycle+2)*frameTuples)
+		if got += imp.inq.Len(); got != frameTuples {
+			t.Fatalf("cycle %d: %d of %d replayed tuples reached the ring's consumer", cycle, got, frameTuples)
+		}
 	}
 }
 

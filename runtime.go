@@ -50,9 +50,6 @@ type RuntimeOptions struct {
 	// end-to-end latency; it overwrites the Time attribute, so leave it
 	// off when operators carry application event times there.
 	TrackLatency bool
-	// DisableWorkStealing routes every dynamic delivery through the shared
-	// scheduler queues instead of per-worker deques (A/B baselines).
-	DisableWorkStealing bool
 	// LocalQueueCapacity is the per-worker deque capacity, a power of two
 	// (default 256).
 	LocalQueueCapacity int
@@ -105,7 +102,6 @@ func NewRuntime(t *Topology, opts RuntimeOptions) (*Runtime, error) {
 		QueueCapacity:        opts.QueueCapacity,
 		AdaptPeriod:          opts.AdaptPeriod,
 		TrackLatency:         opts.TrackLatency,
-		DisableWorkStealing:  opts.DisableWorkStealing,
 		LocalQueueCapacity:   opts.LocalQueueCapacity,
 		SampleEvery:          opts.SampleEvery,
 		DisableRegionCompile: opts.DisableRegionCompile,
