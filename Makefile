@@ -55,7 +55,7 @@ BENCH_CLUSTER_OUT := BENCH_10.json
 # per key to average and mark significance, one run proves nothing.
 BENCH_COUNT ?= 5
 
-.PHONY: build test race vet bench bench-pe bench-sched bench-sched-smoke bench-hotpath bench-hotpath-smoke bench-obs bench-fused bench-fused-smoke bench-ckpt bench-ckpt-smoke bench-wire bench-wire-smoke bench-cluster bench-cluster-smoke benchstat fuzz fuzz-pe fuzz-wire fuzz-deque fuzz-obs fuzz-batch fuzz-ckpt chaos chaos-state chaos-cluster
+.PHONY: build test race vet bench bench-pe bench-sched bench-sched-smoke bench-hotpath bench-hotpath-smoke bench-obs bench-fused bench-fused-smoke bench-ckpt bench-ckpt-smoke bench-wire bench-wire-smoke bench-cluster bench-cluster-smoke bench-e2e bench-e2e-smoke benchstat fuzz fuzz-pe fuzz-wire fuzz-deque fuzz-obs fuzz-batch fuzz-ckpt chaos chaos-state chaos-cluster
 
 build:
 	$(GO) build ./...
@@ -149,7 +149,9 @@ bench-fused-smoke:
 # BenchmarkExportImportWire wire=batch at 16B/64B/1KiB/16KiB payloads
 # ($(BENCH_COUNT) repeats per key at 2s each — the end-to-end loopback needs
 # a couple of seconds of steady state before connection setup, pool warmup,
-# and ring fill stop skewing the sample), plus the batch encode/decode
+# and ring fill stop skewing the sample), its paced trickle row
+# (wire=batch/trickle/payload=64: one tuple per 20us, reporting
+# tuples/frame and frames/flush), plus the batch encode/decode
 # steady-state microbenchmarks. Compare wire=batch/payload=N against the
 # committed BENCH_9.json with benchstat.
 bench-wire:
@@ -234,3 +236,26 @@ bench-cluster:
 # cycle completes without aborts or duplicates, makes no timing claims.
 bench-cluster-smoke:
 	$(GO) test -run '^$$' -bench 'ClusterGrowShrink' -benchtime 1x ./internal/cluster/
+
+# The end-to-end benchmark's workloads (BENCHMARK.json; perfbench/ is its
+# own Go module). bench-e2e runs each for BENCHMARK.json's 15 s through
+# perfbench/run.sh, which builds into .bench_build/ and writes one result
+# file per run to .perfbench-out/; the last line of each run is its JSON
+# result. Run perfbench/run.sh by hand with --trace 1 for the per-layer
+# metrics.
+E2E_WORKLOADS := fanin-dynamic pipeline-elastic keyed-wire-ckpt cluster-resize
+
+bench-e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seconds 15 --trace 0 || exit 1; \
+	done
+
+# One-second run of every workload for CI: fails unless the run's own
+# output check passed ("correct":true on its last line). Makes no timing
+# claims.
+bench-e2e-smoke:
+	@for w in $(E2E_WORKLOADS); do \
+		out=$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 0 2>&1) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "$$w: output check failed"; echo "$$out"; exit 1; }; \
+	done

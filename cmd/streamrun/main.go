@@ -51,7 +51,7 @@ func main() {
 		file     = flag.String("file", "", "run a topology description file instead of a generated shape")
 
 		flushBytes  = flag.Int("flushbytes", 0, "transport: flush a stream once this many encoded bytes are pending (0 = 32KiB default)")
-		flushDelay  = flag.Duration("flushdelay", 0, "transport: max time an encoded frame waits unflushed under sustained traffic (0 = 1ms default)")
+		flushDelay  = flag.Duration("flushdelay", 0, "transport: flush deadline after the last flush; a trickling stream lingers up to this long to coalesce frames, an idle one flushes at once (0 = 1ms default)")
 		streamRing  = flag.Int("streamring", 0, "transport: staging ring capacity per stream in tuples (0 = 1024 default)")
 		streamDrop  = flag.Bool("streamdrop", false, "transport: drop tuples when a stream backs up instead of blocking the PE (latency over completeness)")
 		streamStats = flag.Bool("streamstats", false, "print per-stream transport counters at exit (multi-PE runs)")

@@ -93,44 +93,70 @@ func BenchmarkExportImport(b *testing.B) {
 // into batch frames. Rows keep their wire=batch/ prefix so benchstat pairs
 // them with BENCH_9.json. Every row reports gomaxprocs for provenance (on a
 // 1-core box the writer, reader, and producer share the core, so the
-// per-frame CPU overhead is what the batch amortizes away).
+// per-frame CPU overhead is what the batch amortizes away). The trickle row
+// paces the producer at one 64 B tuple per wirePace instead of saturating
+// the stream; its tuples/frame and frames/flush show how the writer's
+// linger coalesces a stream that never fills a batch.
 func BenchmarkExportImportWire(b *testing.B) {
 	for _, size := range benchPayloads {
 		b.Run(fmt.Sprintf("wire=batch/payload=%d", size), func(b *testing.B) {
-			send, recv := loopbackPair(b)
-			exp := newExportOp("x")
-			exp.cfg = TransportConfig{BlockTimeout: time.Minute}.withDefaults()
-			if err := exp.connect(send, ""); err != nil {
-				b.Fatal(err)
-			}
-			imp := newImportSource("i")
-			imp.connect(recv, nil)
-			_, done := runImportDrain(imp, uint64(b.N))
-
-			tp := benchTuple(size)
-			defer tp.Release()
-			b.SetBytes(int64(size))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				exp.Process(0, tp, nil)
-			}
-			<-done
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-			if exp.Dropped() != 0 {
-				b.Fatalf("benchmark dropped %d tuples", exp.Dropped())
-			}
-			if b.N >= 4096 && exp.WireFrames() >= exp.Sent() {
-				// Only meaningful at volume: a tiny smoke run can drain
-				// one tuple per pass and legitimately never amortize.
-				b.Fatalf("staged %d frames for %d tuples; no amortization",
-					exp.WireFrames(), exp.Sent())
-			}
-			exp.close()
-			imp.close()
+			benchWire(b, size, 0)
 		})
 	}
+	b.Run("wire=batch/trickle/payload=64", func(b *testing.B) {
+		benchWire(b, 64, wirePace)
+	})
+}
+
+// wirePace spaces the trickle row's tuples: ~50K tuples/s, far below what
+// the wire sustains, so every writer drain is a sub-batch.
+const wirePace = 20 * time.Microsecond
+
+// benchWire streams b.N payload-size tuples from an export to an import
+// over loopback, back to back (pace 0) or one per pace.
+func benchWire(b *testing.B, size int, pace time.Duration) {
+	send, recv := loopbackPair(b)
+	exp := newExportOp("x")
+	exp.cfg = TransportConfig{BlockTimeout: time.Minute}.withDefaults()
+	if err := exp.connect(send, ""); err != nil {
+		b.Fatal(err)
+	}
+	imp := newImportSource("i")
+	imp.connect(recv, nil)
+	_, done := runImportDrain(imp, uint64(b.N))
+
+	tp := benchTuple(size)
+	defer tp.Release()
+	b.SetBytes(int64(size))
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if pace > 0 {
+			for time.Since(start) < time.Duration(i)*pace {
+				runtime.Gosched()
+			}
+		}
+		exp.Process(0, tp, nil)
+	}
+	<-done
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+	if pace > 0 {
+		b.ReportMetric(float64(exp.Sent())/float64(exp.WireFrames()), "tuples/frame")
+		b.ReportMetric(float64(exp.WireFrames())/float64(exp.Flushes()), "frames/flush")
+	}
+	if exp.Dropped() != 0 {
+		b.Fatalf("benchmark dropped %d tuples", exp.Dropped())
+	}
+	if b.N >= 4096 && exp.WireFrames() >= exp.Sent() {
+		// Only meaningful at volume: a tiny smoke run can drain
+		// one tuple per pass and legitimately never amortize.
+		b.Fatalf("staged %d frames for %d tuples; no amortization",
+			exp.WireFrames(), exp.Sent())
+	}
+	exp.close()
+	imp.close()
 }
 
 // loopReader serves the same encoded frame forever, so decode benchmarks

@@ -213,6 +213,14 @@ func TestChaosReconnectResumesFromRing(t *testing.T) {
 // for the watchdog to trip and verifies the full control loop: the PE's
 // coordinator stops adapting (PhaseFrozen trace events with an unchanged
 // configuration) while unhealthy, then thaws once the stall clears.
+//
+// The stall hits while the coordinator's first step is applying a
+// placement, and that step's pause barrier waits for the producer blocked
+// on the stalled stream, so the coordinator can step frozen only between
+// the end of the stall and the watchdog's recovery. HealthyAfter keeps that
+// window at several adapt periods: with the default 4 polls (~40 ms) a
+// step landed inside it only by timing, and missed it in 3-10 of 40 runs
+// under -race on 2 vCPUs.
 func TestChaosWatchdogFreezesAdaptation(t *testing.T) {
 	g, _ := seqJob(t, 2_000_000) // effectively unbounded for this test's lifetime
 	inj := fault.New(3)
@@ -225,7 +233,7 @@ func TestChaosWatchdogFreezesAdaptation(t *testing.T) {
 		Watchdog: monitor.WatchdogConfig{
 			Interval:       10 * time.Millisecond,
 			UnhealthyAfter: 2,
-			HealthyAfter:   4,
+			HealthyAfter:   12,
 		},
 		StallAfter: 30 * time.Millisecond,
 	})

@@ -84,7 +84,7 @@ func batchRecordBytes(t *spl.Tuple) int {
 // batchFrameAdd returns the wire bytes tuple t adds to a batch frame whose
 // previous record was prevRec bytes: its record plus the delta varint. The
 // export's chunking loop uses it to fit a staged drain under maxFrameBytes
-// with the exact arithmetic marshalBatchFrame applies.
+// with the exact arithmetic batchFrameLen applies.
 func batchFrameAdd(t *spl.Tuple, prevRec int) int {
 	rec := batchRecordBytes(t)
 	return uvarintLen(zigzag(int64(rec-prevRec))) + rec
@@ -92,12 +92,23 @@ func batchFrameAdd(t *spl.Tuple, prevRec int) int {
 
 // marshalBatchFrame appends one batch frame (length prefix included)
 // carrying ts as wire sequences baseSeq..baseSeq+len(ts)-1 to dst[:0],
-// returning the extended slice. The retransmit ring marshals into its
-// per-slot buffers through this, so the frame bytes outlive the pooled
-// tuples.
+// returning the extended slice; dst is replaced when it is too small.
 func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, error) {
+	need, err := batchFrameLen(ts)
+	if err != nil {
+		return nil, err
+	}
+	if cap(dst) < need {
+		dst = make([]byte, 0, need)
+	}
+	return appendBatchFrame(dst, need, baseSeq, ts), nil
+}
+
+// batchFrameLen returns the wire size of ts as one batch frame, length
+// prefix included, or an error when ts cannot be one frame.
+func batchFrameLen(ts []*spl.Tuple) (int, error) {
 	if len(ts) == 0 || len(ts) > maxBatchTuples {
-		return nil, fmt.Errorf("pe: batch of %d tuples outside [1, %d]", len(ts), maxBatchTuples)
+		return 0, fmt.Errorf("pe: batch of %d tuples outside [1, %d]", len(ts), maxBatchTuples)
 	}
 	body := batchHeaderBytes
 	prev := 0
@@ -106,17 +117,21 @@ func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, err
 		prev = batchRecordBytes(t)
 	}
 	if body > maxFrameBytes {
-		return nil, fmt.Errorf("pe: batch frame %d bytes exceeds limit %d", body, maxFrameBytes)
+		return 0, fmt.Errorf("pe: batch frame %d bytes exceeds limit %d", body, maxFrameBytes)
 	}
-	need := 4 + body
-	if cap(dst) < need {
-		dst = make([]byte, 0, need)
-	}
+	return 4 + body, nil
+}
+
+// appendBatchFrame writes the batch frame of ts, whose size need came from
+// batchFrameLen, to dst[:0]; cap(dst) >= need keeps it allocation-free. The
+// retransmit ring marshals into its own buffers through this, so the frame
+// bytes outlive the pooled tuples.
+func appendBatchFrame(dst []byte, need int, baseSeq uint64, ts []*spl.Tuple) []byte {
 	b := dst[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(body)|batchFrameFlag)
+	b = binary.LittleEndian.AppendUint32(b, uint32(need-4)|batchFrameFlag)
 	b = binary.LittleEndian.AppendUint64(b, baseSeq)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
-	prev = 0
+	prev := 0
 	for _, t := range ts {
 		rec := batchRecordBytes(t)
 		b = binary.AppendUvarint(b, zigzag(int64(rec-prev)))
@@ -133,7 +148,7 @@ func marshalBatchFrame(dst []byte, baseSeq uint64, ts []*spl.Tuple) ([]byte, err
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Payload)))
 		b = append(b, t.Payload...)
 	}
-	return b, nil
+	return b
 }
 
 // encoder writes marshalled frames to a stream through a buffered writer.

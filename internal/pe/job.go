@@ -127,7 +127,11 @@ func Launch(g *graph.Graph, assign Assignment, opts Options) (*Job, error) {
 	if opts.Checkpoint.Enabled && opts.Transport.RetransmitCapacity == 0 {
 		// With acks gated at the checkpoint floor, sustained throughput is
 		// bounded by ring capacity per checkpoint interval; give the replay
-		// window real headroom when the user has not sized it.
+		// window real headroom when the user has not sized it. The window
+		// counts frames, so its tuple headroom grows with how many tuples
+		// the writer coalesces per frame (a trickle lingers into frames of
+		// dozens), and the memory it pins follows the unacknowledged frames,
+		// not the capacity.
 		opts.Transport.RetransmitCapacity = 1 << 15
 	}
 	plans, crosses, err := Partition(g, assign)

@@ -16,9 +16,14 @@ type TransportConfig struct {
 	// FlushBytes flushes the wire buffer once this many encoded bytes are
 	// pending (default 32 KiB), amortizing one syscall over many frames.
 	FlushBytes int
-	// MaxFlushDelay bounds how long an encoded frame may wait unflushed
-	// while the stream stays busy (default 1ms). An idle stream flushes
-	// immediately, so the delay only applies under a sustained trickle.
+	// MaxFlushDelay is the writer's flush deadline, counted from the last
+	// flush (default 1ms). Under a sustained trickle — drains smaller than
+	// a full writer batch — the writer lingers until the deadline so the
+	// tuples staged meanwhile leave as one frame and one flush; a full
+	// batch staged meanwhile ends the wait early. A saturated stream
+	// flushes on FlushBytes or an empty ring and never lingers, and a
+	// stream idle past the deadline flushes its first tuple immediately, so
+	// the delay bounds the extra latency per hop.
 	MaxFlushDelay time.Duration
 	// DropOnFull makes the export drop (and count) tuples when the staging
 	// ring is full instead of applying backpressure — latency over
@@ -31,9 +36,11 @@ type TransportConfig struct {
 	BlockTimeout time.Duration
 	// RetransmitCapacity sizes the export's retransmit window — the encoded
 	// frames held until the receiver acknowledges them, rounded up to a
-	// power of two (default 1024 frames). It bounds both resume traffic
-	// after a reconnect and the memory pinned per stream; a full window
-	// blocks the writer until acknowledgements arrive.
+	// power of two (default 1024 frames). It bounds resume traffic after a
+	// reconnect; a full window blocks the writer until acknowledgements
+	// arrive. The window counts frames, not tuples, and acknowledged
+	// frames' memory is reused for later frames, so the memory pinned per
+	// stream follows the bytes in flight, not the capacity.
 	RetransmitCapacity int
 	// ReconnectBaseDelay/ReconnectMaxDelay bound the export's redial
 	// backoff after a lost connection: capped exponential growth from base

@@ -112,6 +112,7 @@ type exportOp struct {
 
 	wired     atomic.Bool
 	parked    atomic.Bool
+	lingering atomic.Bool // writer holds a trickle until its flush deadline
 	closed    atomic.Bool
 	frozen    atomic.Bool  // migration freeze: writer parks, producers wait
 	failed    atomic.Bool  // permanent: connection lost with no redial address
@@ -310,10 +311,11 @@ func (x *exportOp) currentAddr() string {
 	return x.addr
 }
 
-// wakeWriter nudges a parked writer. The writer re-checks the ring after
-// setting parked, so a push that misses the flag is still observed.
+// wakeWriter nudges a parked writer, or a lingering one once a full batch
+// is staged. The writer re-checks the ring after setting either flag, so a
+// push that misses the flag is still observed.
 func (x *exportOp) wakeWriter() {
-	if x.parked.Load() {
+	if x.parked.Load() || (x.lingering.Load() && x.ring.Len() >= writerBatchTuples) {
 		select {
 		case x.wake <- struct{}{}:
 		default:
@@ -347,14 +349,16 @@ type writerState struct {
 	pending []*spl.Tuple
 	pHead   int
 	closing bool
+	lingerT *time.Timer // reused by linger, created on first use
 }
 
 // connSession is one connection epoch: its encoder and the ack-reader
 // goroutine draining the receiver's acknowledgement back-channel.
 type connSession struct {
-	conn    net.Conn
-	enc     *encoder
-	ackDone chan struct{}
+	conn      net.Conn
+	enc       *encoder
+	ackDone   chan struct{}
+	lastFlush time.Time // zero until the first flush: the deadline starts passed
 }
 
 func (s *connSession) teardown() {
@@ -492,12 +496,17 @@ func (x *exportOp) inFlight(nextSeq uint64) uint64 {
 }
 
 // runConn drains the staging ring onto one connection until the epoch ends
-// (connection error, ack-reader death, or close). Flush policy is
-// Nagle-style and tunable: flush once FlushBytes are pending, when the ring
-// runs empty (an idle stream never holds frames back), or when the oldest
-// pending frame has waited MaxFlushDelay under a sustained trickle.
+// (connection error, ack-reader death, or close). The flush policy is
+// Nagle-style with one deadline, the last flush plus MaxFlushDelay: the
+// writer flushes once FlushBytes are pending, when the ring runs empty, or
+// when the deadline has passed. After a trickle drain (fewer than
+// writerBatchTuples tuples and less than FlushBytes) it lingers until that
+// deadline before popping again, so a sustained trickle leaves as one frame
+// per MaxFlushDelay instead of one frame and one flush per tuple; a full
+// batch never lingers, and a stream idle past the deadline flushes its
+// first tuple at once.
 func (x *exportOp) runConn(sess *connSession, st *writerState) {
-	var pendingSince time.Time
+	trickle := false
 	for {
 		if th := x.frozenThaw(); th != nil {
 			// Migration freeze: flush what is buffered so the peer can
@@ -531,13 +540,21 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 				return
 			}
 		}
+		if trickle {
+			if err := x.linger(sess, st); err != nil {
+				if errors.Is(err, errExportClosing) {
+					x.finalDrain(sess, st)
+				}
+				return
+			}
+		}
 		n := x.ring.TryPopN(st.batch)
 		if n == 0 {
+			trickle = false
 			if sess.enc.buffered() > 0 {
 				if x.flushSess(sess) != nil {
 					return
 				}
-				pendingSince = time.Time{}
 			}
 			x.parked.Store(true)
 			if x.ring.Len() > 0 {
@@ -570,27 +587,60 @@ func (x *exportOp) runConn(sess *connSession, st *writerState) {
 			}
 			return
 		}
-		if sess.enc.buffered() >= x.cfg.FlushBytes {
+		b := sess.enc.buffered()
+		trickle = n < writerBatchTuples && b < x.cfg.FlushBytes
+		now := time.Now()
+		if b >= x.cfg.FlushBytes || (b > 0 && now.Sub(sess.lastFlush) >= x.cfg.MaxFlushDelay) {
 			if x.flushSess(sess) != nil {
 				return
 			}
-			pendingSince = time.Time{}
-		} else if sess.enc.buffered() > 0 {
-			now := time.Now()
-			switch {
-			case pendingSince.IsZero():
-				pendingSince = now
-			case now.Sub(pendingSince) >= x.cfg.MaxFlushDelay:
-				if x.flushSess(sess) != nil {
-					return
-				}
-				pendingSince = time.Time{}
-			}
-		} else {
-			pendingSince = time.Time{}
 		}
-		x.progress.Store(time.Now().UnixNano())
+		x.progress.Store(now.UnixNano())
 	}
+}
+
+// linger holds a trickling writer until the flush deadline (last flush
+// plus MaxFlushDelay) so the tuples staged meanwhile share one frame and
+// one flush. A producer that finds a full batch staged ends the wait early
+// through wakeWriter; close and connection loss end it with
+// errExportClosing and errExportConnLost.
+func (x *exportOp) linger(sess *connSession, st *writerState) error {
+	d := x.cfg.MaxFlushDelay - time.Since(sess.lastFlush)
+	if d <= 0 {
+		return nil
+	}
+	// A token left from an earlier wake would end the wait at once.
+	select {
+	case <-x.wake:
+	default:
+	}
+	x.lingering.Store(true)
+	defer x.lingering.Store(false)
+	if x.ring.Len() >= writerBatchTuples {
+		return nil
+	}
+	if st.lingerT == nil {
+		st.lingerT = time.NewTimer(d)
+	} else {
+		st.lingerT.Reset(d)
+	}
+	var err error
+	select {
+	case <-st.lingerT.C:
+		return nil
+	case <-x.wake:
+	case <-sess.ackDone:
+		err = errExportConnLost
+	case <-x.quit:
+		err = errExportClosing
+	}
+	if !st.lingerT.Stop() {
+		select {
+		case <-st.lingerT.C:
+		default:
+		}
+	}
+	return err
 }
 
 // stageBatch assigns wire sequences to the writer's pending tuples, parks
@@ -708,8 +758,14 @@ func clearPending(st *writerState, k int) {
 
 // awaitWindow blocks until the retransmit window has room for one more
 // frame, flushing first so the receiver can acknowledge what it has.
+// Frames the acked watermark covers free their memory on the way.
 func (x *exportOp) awaitWindow(sess *connSession, st *writerState) error {
-	for st.retr.full(x.acked.Load()) {
+	for {
+		acked := x.acked.Load()
+		st.retr.reclaim(acked)
+		if !st.retr.full(acked) {
+			return nil
+		}
 		if err := x.flushSess(sess); err != nil {
 			return err
 		}
@@ -734,7 +790,6 @@ func (x *exportOp) awaitWindow(sess *connSession, st *writerState) error {
 			return errExportClosing
 		}
 	}
-	return nil
 }
 
 // writeCorrupted poisons the wire with an invalid length prefix and flushes
@@ -760,7 +815,8 @@ func (x *exportOp) writeBytes(sess *connSession, frame []byte) error {
 	return err
 }
 
-// flushSess pushes buffered frames onto the connection.
+// flushSess pushes buffered frames onto the connection and restarts the
+// flush deadline.
 func (x *exportOp) flushSess(sess *connSession) error {
 	if sess.enc.buffered() == 0 {
 		return nil
@@ -768,6 +824,7 @@ func (x *exportOp) flushSess(sess *connSession) error {
 	if err := sess.enc.flush(); err != nil {
 		return err
 	}
+	sess.lastFlush = time.Now()
 	x.flushes.Add(1)
 	return nil
 }

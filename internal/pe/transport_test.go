@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -475,5 +476,120 @@ func TestStreamNoLossNoDuplication(t *testing.T) {
 	}
 	if batches == 0 {
 		t.Fatal("no writer batches recorded")
+	}
+}
+
+// pacedPair wires an export with cfg to an import over loopback and
+// starts a drain goroutine that counts and releases every arriving tuple.
+func pacedPair(t *testing.T, cfg TransportConfig) (exp *exportOp, got *atomic.Uint64, stop func()) {
+	t.Helper()
+	send, recv := loopbackPair(t)
+	exp = newExportOp("x")
+	exp.cfg = cfg.withDefaults()
+	if err := exp.connect(send, ""); err != nil {
+		t.Fatal(err)
+	}
+	imp := newImportSource("i")
+	imp.connect(recv, nil)
+	got, done := runImportDrain(imp, ^uint64(0))
+	return exp, got, func() {
+		exp.close()
+		imp.close()
+		<-done
+	}
+}
+
+// waitArrived polls until got reaches want or within elapses, returning
+// how long it took and whether it got there.
+func waitArrived(got *atomic.Uint64, want uint64, within time.Duration) (time.Duration, bool) {
+	start := time.Now()
+	for got.Load() < want {
+		if time.Since(start) > within {
+			return time.Since(start), false
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return time.Since(start), true
+}
+
+// TestTrickleCoalescesIntoFrames paces one tuple every ~20µs for ~200ms —
+// a sustained trickle the writer would otherwise drain, frame and flush
+// one tuple at a time — and requires the writer to linger up to
+// MaxFlushDelay so the trickle leaves in multi-tuple frames.
+func TestTrickleCoalescesIntoFrames(t *testing.T) {
+	exp, got, stop := pacedPair(t, TransportConfig{MaxFlushDelay: 5 * time.Millisecond, BlockTimeout: time.Minute})
+	defer stop()
+	tp := benchTuple(64)
+	defer tp.Release()
+	const pace = 20 * time.Microsecond
+	start := time.Now()
+	var n uint64
+	for time.Since(start) < 200*time.Millisecond {
+		for time.Since(start) < time.Duration(n)*pace {
+			runtime.Gosched()
+		}
+		exp.Process(0, tp, nil)
+		n++
+	}
+	if _, ok := waitArrived(got, n, 10*time.Second); !ok {
+		t.Fatalf("%d of %d tuples arrived", got.Load(), n)
+	}
+	sent, frames, flushes := exp.Sent(), exp.WireFrames(), exp.Flushes()
+	if sent != n || exp.Dropped() != 0 {
+		t.Fatalf("sent %d dropped %d, want %d and 0", sent, exp.Dropped(), n)
+	}
+	if frames == 0 || sent < 8*frames {
+		t.Fatalf("%d tuples in %d frames (%d flushes): %.1f tuples/frame, want >= 8",
+			sent, frames, flushes, float64(sent)/float64(frames))
+	}
+}
+
+// TestIdleStreamFlushesAtOnce: the linger only holds a trickle. A tuple
+// sent to a stream idle for longer than MaxFlushDelay — the first tuple,
+// and one after a quiet gap — leaves at once instead of waiting out the
+// delay.
+func TestIdleStreamFlushesAtOnce(t *testing.T) {
+	const delay = 400 * time.Millisecond
+	exp, got, stop := pacedPair(t, TransportConfig{MaxFlushDelay: delay})
+	defer stop()
+	tp := benchTuple(64)
+	defer tp.Release()
+	for i := uint64(1); i <= 2; i++ {
+		exp.Process(0, tp, nil)
+		if took, ok := waitArrived(got, i, delay/2); !ok {
+			t.Fatalf("tuple %d after an idle gap took over %v (MaxFlushDelay %v)", i, took, delay)
+		}
+		time.Sleep(delay + delay/4)
+	}
+}
+
+// TestLingerEndsOnFullBatch: a producer that stages a full writer batch
+// wakes a lingering writer, so a burst is never held for MaxFlushDelay.
+// With a one-minute delay, a writer that only woke at the deadline would
+// leave the burst (and the producer, once the ring fills) stuck.
+func TestLingerEndsOnFullBatch(t *testing.T) {
+	exp, got, stop := pacedPair(t, TransportConfig{MaxFlushDelay: time.Minute, BlockTimeout: time.Minute})
+	tp := benchTuple(64)
+	produced := make(chan struct{})
+	defer func() {
+		stop() // unblocks a producer parked on a full ring
+		<-produced
+		tp.Release()
+	}()
+	exp.Process(0, tp, nil) // flushes at once, then the writer lingers
+	if _, ok := waitArrived(got, 1, 10*time.Second); !ok {
+		close(produced)
+		t.Fatal("first tuple never arrived")
+	}
+	const burst = 16 * writerBatchTuples
+	go func() {
+		defer close(produced)
+		for i := 0; i < burst; i++ {
+			exp.Process(0, tp, nil)
+		}
+	}()
+	// Full batches flush on FlushBytes; only a sub-batch tail may linger.
+	if _, ok := waitArrived(got, 1+burst/2, 10*time.Second); !ok {
+		t.Fatalf("%d of %d burst tuples arrived while the writer lingered", got.Load()-1, burst)
 	}
 }
