@@ -1,7 +1,8 @@
 GO ?= go
 
-# Packages with lock-free / pooled hot-path code that must stay race-clean.
-RACE_PKGS := ./internal/exec/... ./internal/queue/... ./internal/spl/... ./internal/pe/... ./internal/obs/... ./internal/metrics/... ./internal/cluster/...
+# Packages with lock-free / pooled hot-path code that must stay race-clean,
+# plus the construction path every PE runs through (coordinator, monitor).
+RACE_PKGS := ./internal/exec/... ./internal/queue/... ./internal/spl/... ./internal/pe/... ./internal/obs/... ./internal/metrics/... ./internal/cluster/... ./internal/monitor/... ./internal/core/...
 
 # Benchmark packages; bench output is benchstat-comparable (go test -json).
 BENCH_PKGS := ./internal/exec/... ./internal/queue/...

@@ -1,10 +1,13 @@
-// Command streamrun executes a benchmark topology live on goroutines with
-// multi-level elasticity and reports the adaptation as it happens.
+// Command streamrun executes a topology live on goroutines with multi-level
+// elasticity and reports the adaptation as it happens. Every run is a job of
+// one or more processing elements (PEs), each adapting independently; a
+// single-engine run is a one-PE job.
 //
 // Usage:
 //
 //	streamrun -shape pipeline -ops 50 -flops 20000 -duration 5s
 //	streamrun -shape mixed -width 4 -depth 8 -skewed -trace
+//	streamrun -file topo.txt -pes 2 -checkpoint -streamstats
 //	streamrun -shape pipeline -ops 12 -cluster 2:4 -clustercycle 3s -duration 12s
 package main
 
@@ -15,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"time"
 
 	"streamelastic"
@@ -24,153 +26,86 @@ import (
 	"streamelastic/internal/core"
 	"streamelastic/internal/exec"
 	"streamelastic/internal/fault"
+	"streamelastic/internal/graph"
 	"streamelastic/internal/metrics"
 	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
 	"streamelastic/internal/pe"
-	"streamelastic/internal/state"
 	"streamelastic/internal/workload"
 )
 
 func main() {
-	var (
-		shape    = flag.String("shape", "pipeline", "graph shape: pipeline, dataparallel, mixed, bushy")
-		ops      = flag.Int("ops", 50, "operator count (pipeline)")
-		width    = flag.Int("width", 4, "parallel width (dataparallel, mixed)")
-		depth    = flag.Int("depth", 8, "chain depth (mixed)")
-		payload  = flag.Int("payload", 1024, "tuple payload bytes")
-		flops    = flag.Float64("flops", 10000, "per-operator FLOPs (balanced distribution)")
-		skewed   = flag.Bool("skewed", false, "use the skewed 10/30/60 cost distribution")
-		threads  = flag.Int("maxthreads", 16, "scheduler-thread cap")
-		duration = flag.Duration("duration", 5*time.Second, "run time")
-		period   = flag.Duration("period", 200*time.Millisecond, "adaptation period")
-		trace    = flag.Bool("trace", false, "print the full adaptation trace at exit")
-		pes      = flag.Int("pes", 1, "split the graph across N processing elements connected by TCP")
-		clusterW = flag.String("cluster", "", "run under the cluster job manager with this malleable width spec min:max[:step[:desired]]; the PE fleet grows and shrinks live by region migration")
-		clusterC = flag.Duration("clustercycle", 0, "with -cluster, alternate the desired width between the spec maximum and minimum at this interval (0 = hold the spec's desired width)")
-		file     = flag.String("file", "", "run a topology description file instead of a generated shape")
+	c := runConfig{}
+	flag.StringVar(&c.shape, "shape", "pipeline", "graph shape: pipeline, dataparallel, mixed, bushy")
+	flag.IntVar(&c.ops, "ops", 50, "operator count (pipeline)")
+	flag.IntVar(&c.width, "width", 4, "parallel width (dataparallel, mixed)")
+	flag.IntVar(&c.depth, "depth", 8, "chain depth (mixed)")
+	flag.IntVar(&c.payload, "payload", 1024, "tuple payload bytes")
+	flag.Float64Var(&c.flops, "flops", 10000, "per-operator FLOPs (balanced distribution)")
+	flag.BoolVar(&c.skewed, "skewed", false, "use the skewed 10/30/60 cost distribution")
+	flag.IntVar(&c.batch, "batch", 1, "source: tuples emitted per generator turn (larger batches feed the compiled-region path whole batches)")
+	flag.StringVar(&c.file, "file", "", "run a topology description file instead of a generated shape")
+	flag.IntVar(&c.maxThreads, "maxthreads", 16, "scheduler-thread cap")
+	flag.DurationVar(&c.duration, "duration", 5*time.Second, "run time")
+	flag.DurationVar(&c.period, "period", 200*time.Millisecond, "adaptation period")
+	flag.BoolVar(&c.trace, "trace", false, "print every PE's adaptation trace at exit")
+	flag.IntVar(&c.pes, "pes", 1, "split the graph across N processing elements connected by TCP")
+	flag.StringVar(&c.clusterSpec, "cluster", "", "run under the cluster job manager with this malleable width spec min:max[:step[:desired]]; the PE fleet grows and shrinks live by region migration")
+	flag.DurationVar(&c.clusterCycle, "clustercycle", 0, "with -cluster, alternate the desired width between the spec maximum and minimum at this interval (0 = hold the spec's desired width)")
 
-		flushBytes  = flag.Int("flushbytes", 0, "transport: flush a stream once this many encoded bytes are pending (0 = 32KiB default)")
-		flushDelay  = flag.Duration("flushdelay", 0, "transport: flush deadline after the last flush; a trickling stream lingers up to this long to coalesce frames, an idle one flushes at once (0 = 1ms default)")
-		streamRing  = flag.Int("streamring", 0, "transport: staging ring capacity per stream in tuples (0 = 1024 default)")
-		streamDrop  = flag.Bool("streamdrop", false, "transport: drop tuples when a stream backs up instead of blocking the PE (latency over completeness)")
-		streamStats = flag.Bool("streamstats", false, "print per-stream transport counters at exit (multi-PE runs)")
+	flag.IntVar(&c.transport.FlushBytes, "flushbytes", 0, "transport: flush a stream once this many encoded bytes are pending (0 = 32KiB default)")
+	flag.DurationVar(&c.transport.MaxFlushDelay, "flushdelay", 0, "transport: flush deadline after the last flush; a trickling stream lingers up to this long to coalesce frames, an idle one flushes at once (0 = 1ms default)")
+	flag.IntVar(&c.transport.RingCapacity, "streamring", 0, "transport: staging ring capacity per stream in tuples (0 = 1024 default)")
+	flag.BoolVar(&c.transport.DropOnFull, "streamdrop", false, "transport: drop tuples when a stream backs up instead of blocking the PE (latency over completeness)")
+	flag.BoolVar(&c.streamStats, "streamstats", false, "print per-stream transport counters at exit")
 
-		localq     = flag.Int("localq", 0, "scheduler: per-worker deque capacity, a power of two (0 = 256 default)")
-		schedStats = flag.Bool("schedstats", false, "print work-stealing scheduler counters (affinity pushes, steals, overflows, parks) at exit")
-		fuse       = flag.Bool("fuse", true, "scheduler: compile manual regions into flat programs executed batch-at-a-time; false interprets every delivery tuple-at-a-time")
-		batch      = flag.Int("batch", 1, "source: tuples emitted per generator turn (larger batches feed the compiled-region path whole batches)")
+	flag.IntVar(&c.sched.localQ, "localq", 0, "scheduler: per-worker deque capacity, a power of two (0 = 256 default)")
+	flag.BoolVar(&c.sched.stats, "schedstats", false, "print work-stealing scheduler counters (affinity pushes, steals, overflows, parks, fused batches) at exit")
 
-		watchdog    = flag.Bool("watchdog", false, "run a health watchdog per PE that freezes adaptation while the PE is unhealthy (multi-PE runs)")
-		panicBudget = flag.Int("panicbudget", 0, "quarantine an operator after this many recovered panics (0 = supervision off)")
-		chaos       = flag.Bool("chaos", false, "inject deterministic faults (operator panics, connection kills) into multi-PE runs")
-		chaosSeed   = flag.Int64("chaosseed", 1, "seed for -chaos fault injection")
-		checkpoint  = flag.Bool("checkpoint", false, "periodically snapshot keyed operator state (incremental, per PE) and recover quarantined stateful operators exactly-once")
-		ckptDir     = flag.String("ckptdir", "", "directory for checkpoint logs (pe<N>.ckpt); empty keeps checkpoints in memory")
-		ckptEvery   = flag.Duration("ckptinterval", 0, "checkpoint interval (0 = 1s default)")
+	flag.BoolVar(&c.res.watchdog, "watchdog", false, "run a health watchdog per PE that freezes adaptation while the PE is unhealthy")
+	flag.IntVar(&c.res.panicBudget, "panicbudget", 0, "quarantine an operator after this many recovered panics (0 = supervision off)")
+	flag.BoolVar(&c.res.chaos, "chaos", false, "inject deterministic faults (connection kills, operator panics)")
+	flag.Int64Var(&c.res.chaosSeed, "chaosseed", 1, "seed for -chaos fault injection")
+	flag.BoolVar(&c.res.checkpoint, "checkpoint", false, "periodically snapshot keyed operator state (incremental, per PE) and recover quarantined stateful operators exactly-once")
+	flag.StringVar(&c.res.ckptDir, "ckptdir", "", "directory for checkpoint logs (pe<N>.ckpt); empty keeps checkpoints in memory")
+	flag.DurationVar(&c.res.ckptInterval, "ckptinterval", 0, "checkpoint interval (0 = 1s default)")
 
-		metricsAddr = flag.String("metrics", "", "serve /metrics (Prometheus), /statusz, /flightz, /tracez.json and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
-		flightPath  = flag.String("flightrec", "", "write a flight-recorder dump to this file at exit")
-		tracePath   = flag.String("traceout", "", "write the adaptation trace as Chrome trace_event JSON to this file at exit")
-		sample      = flag.Int("sample", 0, "latency-sample every Nth queued delivery per emitting loop into per-operator histograms (0 = off)")
-	)
+	flag.StringVar(&c.obs.metricsAddr, "metrics", "", "serve /metrics (Prometheus), /statusz, /flightz, /tracez.json and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
+	flag.StringVar(&c.obs.flightPath, "flightrec", "", "write a flight-recorder dump to this file at exit")
+	flag.StringVar(&c.obs.tracePath, "traceout", "", "write the first PE's adaptation trace as Chrome trace_event JSON to this file at exit")
+	flag.IntVar(&c.obs.sample, "sample", 0, "latency-sample every Nth queued delivery per emitting loop into per-operator histograms (0 = off)")
 	flag.Parse()
 
-	tcfg := pe.TransportConfig{
-		RingCapacity:  *streamRing,
-		FlushBytes:    *flushBytes,
-		MaxFlushDelay: *flushDelay,
-		DropOnFull:    *streamDrop,
-	}
-	rcfg := resilienceConfig{
-		watchdog:     *watchdog,
-		panicBudget:  *panicBudget,
-		chaos:        *chaos,
-		chaosSeed:    *chaosSeed,
-		checkpoint:   *checkpoint,
-		ckptDir:      *ckptDir,
-		ckptInterval: *ckptEvery,
-	}
-	scfg := schedConfig{
-		localQ: *localq,
-		stats:  *schedStats,
-		fuse:   *fuse,
-	}
-	ocfg := obsConfig{
-		metricsAddr: *metricsAddr,
-		flightPath:  *flightPath,
-		tracePath:   *tracePath,
-		sample:      *sample,
-	}
-	var err error
-	if verr := scfg.validate(); verr != nil {
-		err = verr
-	} else if *file != "" {
-		err = runFile(*file, *threads, *duration, *period, *trace, scfg, ocfg)
-	} else {
-		err = run(*shape, *ops, *width, *depth, *payload, *flops, *skewed, *batch, *threads, *duration, *period, *trace, *pes, *clusterW, *clusterC, tcfg, rcfg, *streamStats, scfg, ocfg)
-	}
-	if err != nil {
+	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "streamrun:", err)
 		os.Exit(1)
 	}
 }
 
-// runFile parses a topology description (see streamelastic.ParseTopology)
-// and runs it live with multi-level elasticity.
-func runFile(path string, maxThreads int, duration, period time.Duration, dumpTrace bool, scfg schedConfig, ocfg obsConfig) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	top, nodes, err := streamelastic.ParseTopology(f)
-	if err != nil {
-		return err
-	}
-	ecfg := streamelastic.DefaultElasticConfig()
-	ecfg.MaxThreads = maxThreads
-	rt, err := streamelastic.NewRuntime(top, streamelastic.RuntimeOptions{
-		MaxThreads:           maxThreads,
-		AdaptPeriod:          period,
-		Elastic:              ecfg,
-		LocalQueueCapacity:   scfg.localQ,
-		SampleEvery:          ocfg.sample,
-		DisableRegionCompile: !scfg.fuse,
-	})
-	if err != nil {
-		return err
-	}
-	stopObs, err := ocfg.serve(rt.MetricsHandler())
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	if err := rt.Start(context.Background()); err != nil {
-		return err
-	}
-	defer rt.Stop()
-	fmt.Printf("running %s (%d operators) live for %s\n", path, len(nodes), duration)
-	start := time.Now()
-	var last uint64
-	for time.Since(start) < duration {
-		time.Sleep(time.Second)
-		cur := rt.SinkCount()
-		fmt.Printf("t=%4.0fs  sink=%8.0f tuples/s  threads=%2d  queues=%3d  settled=%v\n",
-			time.Since(start).Seconds(), float64(cur-last), rt.Threads(), rt.Queues(), rt.Settled())
-		last = cur
-	}
-	if dumpTrace {
-		fmt.Println("\nadaptation trace:")
-		for _, e := range rt.Trace() {
-			fmt.Printf("  %6.1fs thr=%9.0f threads=%2d queues=%3d  [%s] %s\n",
-				e.Time.Seconds(), e.Throughput, e.Threads, e.Queues, e.Phase, e.Note)
-		}
-	}
-	if scfg.stats {
-		printSched("runtime", rt.SchedStats())
-	}
-	return ocfg.writeArtifacts(rt.FlightRecorder(), rt.Trace())
+// runConfig is one streamrun invocation.
+type runConfig struct {
+	// The graph: a topology description file (see
+	// streamelastic.ParseTopology) when file is set, else a generated shape.
+	file                       string
+	shape                      string
+	ops, width, depth, payload int
+	flops                      float64
+	skewed                     bool
+	batch                      int
+
+	maxThreads   int
+	duration     time.Duration
+	period       time.Duration
+	trace        bool
+	pes          int
+	clusterSpec  string
+	clusterCycle time.Duration
+	streamStats  bool
+
+	transport pe.TransportConfig
+	res       resilienceConfig
+	sched     schedConfig
+	obs       obsConfig
 }
 
 // resilienceConfig bundles the self-healing flags.
@@ -184,13 +119,310 @@ type resilienceConfig struct {
 	ckptInterval time.Duration
 }
 
-// newStore opens the checkpoint store for one engine: a durable file log
-// under -ckptdir, or an in-memory store when the flag is empty.
-func (c resilienceConfig) newStore(name string) (state.Store, error) {
-	if c.ckptDir == "" {
-		return state.NewMemStore(), nil
+// schedConfig bundles the work-stealing scheduler flags.
+type schedConfig struct {
+	localQ int
+	stats  bool
+}
+
+// validate rejects a deque capacity the engine would refuse, so the error
+// mentions the flag rather than an internal option.
+func (c schedConfig) validate() error {
+	if c.localQ != 0 && (c.localQ < 2 || c.localQ&(c.localQ-1) != 0) {
+		return fmt.Errorf("-localq %d is not a power of two >= 2", c.localQ)
 	}
-	return state.OpenFileLog(filepath.Join(c.ckptDir, name+".ckpt"))
+	return nil
+}
+
+// app is what a run drives: a launched pe.Job or a cluster.Manager. Both
+// serve the same observability surface.
+type app interface {
+	monitor.Provider
+	Start(context.Context) error
+	Stop()
+}
+
+// run builds the graph, launches it as a job of -pes PEs (or under the
+// cluster manager with -cluster), reports once a second, and prints the
+// exit report.
+func run(c runConfig) error {
+	if err := c.sched.validate(); err != nil {
+		return err
+	}
+	g, name, err := c.graph()
+	if err != nil {
+		return err
+	}
+	delivered := sinkCounter(g)
+	var inj *fault.Injector
+	if c.res.chaos {
+		inj = fault.New(c.res.chaosSeed)
+	}
+	opts := c.peOptions(inj)
+
+	var (
+		a      app
+		lastPE int
+		onTick func() // -clustercycle: move the desired width
+	)
+	if c.clusterSpec != "" {
+		spec, err := cluster.ParseWidthSpec(c.clusterSpec)
+		if err != nil {
+			return fmt.Errorf("-cluster: %w", err)
+		}
+		mgr, err := cluster.New(g, cluster.Options{Spec: spec, PE: opts})
+		if err != nil {
+			return err
+		}
+		st := mgr.Status()
+		a, lastPE = mgr, st.Allocated-1
+		atMax := st.Desired == spec.Max // the first flip moves away from the start
+		nextFlip := time.Now().Add(c.clusterCycle)
+		onTick = func() {
+			if c.clusterCycle > 0 && time.Now().After(nextFlip) {
+				atMax = !atMax
+				want := spec.Min
+				if atMax {
+					want = spec.Max
+				}
+				mgr.SetDesired(want)
+				nextFlip = time.Now().Add(c.clusterCycle)
+			}
+		}
+		fmt.Printf("running %s under the cluster manager (width %d:%d:%d, desired %d) for %s\n",
+			name, spec.Min, spec.Max, spec.Step, spec.Desired, c.duration)
+	} else {
+		assign, err := pe.AssignContiguous(g, c.pes)
+		if err != nil {
+			return err
+		}
+		job, err := pe.Launch(g, assign, opts)
+		if err != nil {
+			return err
+		}
+		a, lastPE = job, c.pes-1
+		fmt.Printf("running %s (%d operators, %d PEs, %d TCP streams) for %s\n",
+			name, g.NumNodes(), c.pes, len(job.Streams()), c.duration)
+	}
+	if inj != nil {
+		// A canned chaos plan: kill stream connections a few times (every
+		// stream id below 16, so streams born of cluster migrations are hit
+		// too) and panic an operator on the last PE. Kills resume from the
+		// retransmit ring; the panics exercise supervision and quarantine.
+		for sid := 0; sid < 16; sid++ {
+			inj.Arm(fault.ConnKill, sid, fault.Plan{EveryN: 5000, MaxFires: 3})
+		}
+		inj.Arm(fault.OpPanic, fault.OpSite(lastPE, 1), fault.Plan{EveryN: 500, MaxFires: 8})
+	}
+
+	stopObs, err := c.obs.serve(monitor.ObservabilityHandler(a))
+	if err != nil {
+		return err
+	}
+	defer stopObs()
+	if err := a.Start(context.Background()); err != nil {
+		a.Stop()
+		return err
+	}
+	defer a.Stop()
+
+	start := time.Now()
+	var last uint64
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	deadline := time.After(c.duration)
+loop:
+	for {
+		select {
+		case <-tick.C:
+			if onTick != nil {
+				onTick()
+			}
+			cur := delivered()
+			line := fmt.Sprintf("t=%4.0fs  end-to-end=%8.0f tuples/s", time.Since(start).Seconds(), float64(cur-last))
+			last = cur
+			for _, st := range a.Statuses() {
+				if w := st.Width; w != nil {
+					line += fmt.Sprintf("  width=%d desired=%d migrations=%d", w.Allocated, w.Desired, st.Migrations.Completed)
+					if w.Pending != "" {
+						line += " [" + w.Pending + "]"
+					}
+					continue
+				}
+				line += fmt.Sprintf("  %s[T=%d Q=%d settled=%v]", st.Name, st.Threads, st.Queues, st.Settled)
+			}
+			fmt.Println(line)
+		case <-deadline:
+			break loop
+		}
+	}
+
+	fmt.Printf("\nfinal: %d tuples end to end\n", delivered())
+	statuses := a.Statuses()
+	c.report(statuses)
+	if inj != nil {
+		fmt.Printf("chaos: %d faults fired (seed %d)\n", len(inj.Events()), c.res.chaosSeed)
+		os.Stdout.Write(inj.LogBytes())
+	}
+	var first []core.TraceEvent
+	for i, st := range statuses {
+		tr := a.AdaptationTrace(i)
+		if tr == nil {
+			continue
+		}
+		if first == nil {
+			first = tr
+		}
+		if c.trace {
+			fmt.Printf("\n%s adaptation trace:\n", st.Name)
+			for _, e := range tr {
+				fmt.Printf("  %6.1fs thr=%9.0f threads=%2d queues=%3d  [%s] %s\n",
+					e.Time.Seconds(), e.Throughput, e.Threads, e.Queues, e.Phase, e.Note)
+			}
+		}
+	}
+	return c.obs.writeArtifacts(a.FlightRecorder(), first)
+}
+
+// graph returns the run's finalized graph and a name for it: the parsed
+// -file, or the generated -shape.
+func (c runConfig) graph() (*graph.Graph, string, error) {
+	if c.file != "" {
+		f, err := os.Open(c.file)
+		if err != nil {
+			return nil, "", err
+		}
+		defer f.Close()
+		top, _, err := streamelastic.ParseTopology(f)
+		if err != nil {
+			return nil, "", err
+		}
+		g, err := top.Graph()
+		return g, c.file, err
+	}
+	cfg := workload.DefaultConfig()
+	cfg.PayloadBytes = c.payload
+	cfg.BalancedFLOPs = c.flops
+	cfg.Skewed = c.skewed
+	cfg.SourceBatch = c.batch
+	var (
+		b   *workload.Build
+		err error
+	)
+	switch c.shape {
+	case "pipeline":
+		b, err = workload.Pipeline(c.ops, cfg)
+	case "dataparallel":
+		b, err = workload.DataParallel(c.width, cfg)
+	case "mixed":
+		b, err = workload.Mixed(c.width, c.depth, cfg)
+	case "bushy":
+		b, err = workload.Bushy(cfg)
+	default:
+		return nil, "", fmt.Errorf("unknown shape %q", c.shape)
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	return b.Graph, b.Name, nil
+}
+
+// peOptions translates the flags into the options every PE is built with.
+func (c runConfig) peOptions(inj *fault.Injector) pe.Options {
+	ecfg := core.DefaultConfig()
+	ecfg.MaxThreads = c.maxThreads
+	opts := pe.Options{
+		Exec: exec.Options{
+			MaxThreads:         c.maxThreads,
+			AdaptPeriod:        c.period,
+			PanicBudget:        c.res.panicBudget,
+			LocalQueueCapacity: c.sched.localQ,
+		},
+		Elastic:        ecfg,
+		Transport:      c.transport,
+		Fault:          inj,
+		EnableWatchdog: c.res.watchdog,
+		SampleEvery:    c.obs.sample,
+		Checkpoint: pe.CheckpointOptions{
+			Enabled:  c.res.checkpoint,
+			Dir:      c.res.ckptDir,
+			Interval: c.res.ckptInterval,
+		},
+	}
+	if c.res.watchdog {
+		// A watchdog trip dumps the flight recorder to stderr as it happens.
+		opts.FlightDump = os.Stderr
+	}
+	return opts
+}
+
+// sinkCounter returns a reader of the tuples delivered end to end: the sum
+// over the graph's terminal operators that count what they receive. The
+// operators are shared with every PE plan, so the sum holds however the
+// graph is split.
+func sinkCounter(g *graph.Graph) func() uint64 {
+	type counter interface{ Count() uint64 }
+	var sinks []counter
+	for i := 0; i < g.NumNodes(); i++ {
+		nd := g.Node(graph.NodeID(i))
+		if s, ok := nd.Op.(counter); ok && len(nd.Out) == 0 {
+			sinks = append(sinks, s)
+		}
+	}
+	return func() uint64 {
+		var n uint64
+		for _, s := range sinks {
+			n += s.Count()
+		}
+		return n
+	}
+}
+
+// report prints the exit report from the status rows /statusz serves: the
+// cluster's width and migration ledger, scheduler and stream counters behind
+// their flags, then checkpoint, watchdog and supervision state wherever it
+// exists.
+func (c runConfig) report(statuses []monitor.Status) {
+	for _, st := range statuses {
+		if w, m := st.Width, st.Migrations; w != nil && m != nil {
+			fmt.Printf("cluster: width=%d migrations=%d aborted=%d replayed=%d\n",
+				w.Allocated, m.Completed, m.Aborted, m.Replayed)
+		}
+		if c.sched.stats && st.Sched != nil {
+			printSched(st.Name, *st.Sched)
+		}
+		if cs := st.Checkpoint; cs != nil {
+			fmt.Printf("%s checkpoints: committed=%d errors=%d skipped=%d restores=%d lastBytes=%d watermark=%d epoch=%d\n",
+				st.Name, cs.Checkpoints, cs.Errors, cs.Skipped, cs.Restores, cs.LastCkptBytes, cs.Watermark, cs.Epoch)
+		}
+		if h := st.Health; h != nil {
+			fmt.Printf("watchdog %s: healthy=%v frozen=%v trips=%d recovers=%d lastCause=%q\n",
+				h.Name, h.Healthy, h.Frozen, h.Trips, h.Recovers, h.LastCause)
+		}
+		if st.OperatorPanics > 0 || st.Quarantined > 0 {
+			fmt.Printf("%s supervision: panics=%d quarantined=%d\n", st.Name, st.OperatorPanics, st.Quarantined)
+		}
+		if !c.streamStats {
+			continue
+		}
+		for _, s := range st.Streams {
+			framesPerFlush := 0.0
+			if s.Flushes > 0 {
+				framesPerFlush = float64(s.WireFrames) / float64(s.Flushes)
+			}
+			fmt.Printf("%s stream %d %s peer=pe%d: tuples=%d frames=%d bytes=%d dropped=%d flushes=%d framesPerFlush=%.1f drains=%v retrans=%d reconnects=%d unacked=%d dups=%d resumes=%d\n",
+				st.Name, s.Stream, s.Dir, s.Peer, s.Tuples, s.WireFrames, s.Bytes, s.Dropped,
+				s.Flushes, framesPerFlush, s.DrainSizes, s.Retransmits, s.Reconnects, s.Unacked,
+				s.DupsDropped, s.Resumes)
+		}
+	}
+}
+
+// printSched renders one PE's scheduler counters.
+func printSched(name string, s metrics.SchedSnapshot) {
+	fmt.Printf("%s sched: local=%d pops=%d steals=%d stolen=%d overflow=%d injected=%d parks=%d wakes=%d fusedBatches=%d fusedTuples=%d\n",
+		name, s.LocalPushes, s.LocalPops, s.Steals, s.StolenTuples,
+		s.Overflows, s.Injected, s.Parks, s.Wakes, s.FusedBatches, s.FusedTuples)
 }
 
 // obsConfig bundles the observability flags.
@@ -248,401 +480,4 @@ func (c obsConfig) writeArtifacts(rec *obs.FlightRecorder, trace []core.TraceEve
 		}
 	}
 	return nil
-}
-
-// schedConfig bundles the work-stealing scheduler flags.
-type schedConfig struct {
-	localQ int
-	stats  bool
-	fuse   bool
-}
-
-// validate rejects a deque capacity the engine would refuse, so the error
-// mentions the flag rather than an internal option.
-func (c schedConfig) validate() error {
-	if c.localQ != 0 && (c.localQ < 2 || c.localQ&(c.localQ-1) != 0) {
-		return fmt.Errorf("-localq %d is not a power of two >= 2", c.localQ)
-	}
-	return nil
-}
-
-// execOptions translates the flags into engine scheduler options.
-func (c schedConfig) execOptions(o exec.Options) exec.Options {
-	o.LocalQueueCapacity = c.localQ
-	o.DisableRegionCompile = !c.fuse
-	return o
-}
-
-// printSched renders one engine's scheduler counters.
-func printSched(name string, s metrics.SchedSnapshot) {
-	fmt.Printf("%s sched: local=%d pops=%d steals=%d stolen=%d overflow=%d injected=%d parks=%d wakes=%d fusedBatches=%d fusedTuples=%d\n",
-		name, s.LocalPushes, s.LocalPops, s.Steals, s.StolenTuples,
-		s.Overflows, s.Injected, s.Parks, s.Wakes, s.FusedBatches, s.FusedTuples)
-}
-
-func run(shape string, ops, width, depth, payload int, flops float64, skewed bool, srcBatch int,
-	maxThreads int, duration, period time.Duration, dumpTrace bool, pes int, clusterSpec string, clusterCycle time.Duration,
-	tcfg pe.TransportConfig, rcfg resilienceConfig, streamStats bool, scfg schedConfig, ocfg obsConfig) error {
-	cfg := workload.DefaultConfig()
-	cfg.PayloadBytes = payload
-	cfg.BalancedFLOPs = flops
-	cfg.Skewed = skewed
-	cfg.SourceBatch = srcBatch
-
-	var (
-		b   *workload.Build
-		err error
-	)
-	switch shape {
-	case "pipeline":
-		b, err = workload.Pipeline(ops, cfg)
-	case "dataparallel":
-		b, err = workload.DataParallel(width, cfg)
-	case "mixed":
-		b, err = workload.Mixed(width, depth, cfg)
-	case "bushy":
-		b, err = workload.Bushy(cfg)
-	default:
-		return fmt.Errorf("unknown shape %q", shape)
-	}
-	if err != nil {
-		return err
-	}
-
-	if clusterSpec != "" {
-		return runCluster(b, clusterSpec, clusterCycle, maxThreads, duration, period, tcfg, rcfg, scfg, ocfg)
-	}
-	if pes > 1 {
-		return runJob(b, maxThreads, duration, period, pes, tcfg, rcfg, streamStats, scfg, ocfg)
-	}
-
-	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
-	eng, err := exec.New(b.Graph, scfg.execOptions(exec.Options{
-		MaxThreads:  maxThreads,
-		AdaptPeriod: period,
-		SampleEvery: ocfg.sample,
-		Recorder:    rec,
-		PanicBudget: rcfg.panicBudget,
-	}))
-	if err != nil {
-		return err
-	}
-	var ckpt *exec.Checkpointer
-	if rcfg.checkpoint {
-		store, err := rcfg.newStore("engine")
-		if err != nil {
-			return err
-		}
-		ckpt = exec.NewCheckpointer(eng, exec.CheckpointConfig{
-			Store:    store,
-			Interval: rcfg.ckptInterval,
-		})
-		if err := ckpt.Restore(); err != nil {
-			return err
-		}
-	}
-	ecfg := core.DefaultConfig()
-	ecfg.MaxThreads = maxThreads
-	coord, err := core.NewCoordinator(eng, ecfg)
-	if err != nil {
-		return err
-	}
-	coord.SetObserver(func(ev core.TraceEvent) {
-		detail := string(ev.Phase)
-		if ev.Note != "" {
-			detail += ": " + ev.Note
-		}
-		rec.Record(obs.EvAdapt, 0, int64(ev.Threads), int64(ev.Queues), detail)
-	})
-	obs.RegisterSettled(eng.Registry(), coord.Settled)
-	stopObs, err := ocfg.serve(monitor.ObservabilityHandler(
-		engineProvider{reg: eng.Registry(), coord: coord},
-		[]*obs.Registry{eng.Registry()}, rec))
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	if err := eng.Start(ctx); err != nil {
-		return err
-	}
-	defer eng.Stop()
-	if ckpt != nil {
-		ckpt.Start()
-		defer ckpt.Stop()
-	}
-
-	adaptDone := make(chan struct{})
-	go func() {
-		defer close(adaptDone)
-		_ = coord.Run(ctx)
-	}()
-
-	fmt.Printf("running %s (%d operators, payload %dB) live for %s\n",
-		b.Name, b.Graph.NumNodes(), payload, duration)
-	start := time.Now()
-	var last uint64
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	deadline := time.After(duration)
-loop:
-	for {
-		select {
-		case <-tick.C:
-			cur := b.Sink.Count()
-			fmt.Printf("t=%4.0fs  throughput=%8.0f tuples/s  threads=%2d  queues=%3d  settled=%v\n",
-				time.Since(start).Seconds(), float64(cur-last), eng.ThreadCount(), eng.Queues(), coord.Settled())
-			last = cur
-		case <-deadline:
-			break loop
-		}
-	}
-	cancel()
-	<-adaptDone
-
-	fmt.Printf("\nfinal: %d tuples, %d threads, %d queues, settled=%v\n",
-		b.Sink.Count(), eng.ThreadCount(), eng.Queues(), coord.Settled())
-	if scfg.stats {
-		printSched("engine", eng.SchedStats())
-	}
-	if dumpTrace {
-		fmt.Println("\nadaptation trace:")
-		for _, e := range coord.Trace() {
-			fmt.Printf("  %6.1fs thr=%9.0f threads=%2d queues=%3d  [%s] %s\n",
-				e.Time.Seconds(), e.Throughput, e.Threads, e.Queues, e.Phase, e.Note)
-		}
-	}
-	return ocfg.writeArtifacts(rec, coord.Trace())
-}
-
-// engineProvider adapts the single-PE engine+coordinator pair to the
-// monitoring API.
-type engineProvider struct {
-	reg   *obs.Registry
-	coord *core.Coordinator
-}
-
-func (p engineProvider) Statuses() []monitor.Status {
-	return []monitor.Status{monitor.BuildStatus("engine", p.reg, nil)}
-}
-
-func (p engineProvider) AdaptationTrace(i int) []core.TraceEvent {
-	if i != 0 || p.coord == nil {
-		return nil
-	}
-	return p.coord.Trace()
-}
-
-// runCluster executes the workload under the cluster job manager: the PE
-// fleet starts at the spec's desired width and, when -clustercycle is set,
-// is resized live between the spec's maximum and minimum by region
-// migration while the job streams.
-func runCluster(b *workload.Build, specStr string, cycle time.Duration, maxThreads int,
-	duration, period time.Duration, tcfg pe.TransportConfig, rcfg resilienceConfig, scfg schedConfig, ocfg obsConfig) error {
-	spec, err := cluster.ParseWidthSpec(specStr)
-	if err != nil {
-		return fmt.Errorf("-cluster: %w", err)
-	}
-	ecfg := core.DefaultConfig()
-	ecfg.MaxThreads = maxThreads
-	var inj *fault.Injector
-	if rcfg.chaos {
-		// Kill stream connections periodically — including streams that only
-		// come to exist through migrations (fresh stable ids). Kills are
-		// output-transparent: the importer resumes at its delivered watermark
-		// and the exporter replays from the retransmit ring.
-		inj = fault.New(rcfg.chaosSeed)
-		for sid := 0; sid < 16; sid++ {
-			inj.Arm(fault.ConnKill, sid, fault.Plan{EveryN: 5000, MaxFires: 3})
-		}
-	}
-	mgr, err := cluster.New(b.Graph, cluster.Options{
-		Spec: spec,
-		PE: pe.Options{
-			Exec: scfg.execOptions(exec.Options{
-				MaxThreads:  maxThreads,
-				AdaptPeriod: period,
-				PanicBudget: rcfg.panicBudget,
-			}),
-			Elastic:        ecfg,
-			Transport:      tcfg,
-			Fault:          inj,
-			EnableWatchdog: rcfg.watchdog,
-			SampleEvery:    ocfg.sample,
-			Checkpoint: pe.CheckpointOptions{
-				Enabled:  rcfg.checkpoint,
-				Dir:      rcfg.ckptDir,
-				Interval: rcfg.ckptInterval,
-			},
-		},
-	})
-	if err != nil {
-		return err
-	}
-	stopObs, err := ocfg.serve(monitor.ObservabilityHandlerDynamic(mgr, mgr.Registries, mgr.FlightRecorder()))
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	if err := mgr.Start(context.Background()); err != nil {
-		mgr.Stop()
-		return err
-	}
-	defer mgr.Stop()
-
-	fmt.Printf("running %s under the cluster manager (width %d:%d:%d, desired %d) for %s\n",
-		b.Name, spec.Min, spec.Max, spec.Step, spec.Desired, duration)
-	start := time.Now()
-	var last uint64
-	atMax := false
-	nextFlip := time.Now().Add(cycle)
-	for time.Since(start) < duration {
-		time.Sleep(time.Second)
-		if cycle > 0 && time.Now().After(nextFlip) {
-			atMax = !atMax
-			want := spec.Min
-			if atMax {
-				want = spec.Max
-			}
-			mgr.SetDesired(want)
-			nextFlip = time.Now().Add(cycle)
-		}
-		cur := b.Sink.Count()
-		st := mgr.Status()
-		fmt.Printf("t=%4.0fs  end-to-end=%8.0f tuples/s  pes=%d desired=%d migrations=%d",
-			time.Since(start).Seconds(), float64(cur-last), st.Allocated, st.Desired, st.MigrationsCompleted)
-		last = cur
-		if st.Pending != "" {
-			fmt.Printf("  [%s]", st.Pending)
-		}
-		fmt.Println()
-	}
-	st := mgr.Status()
-	fmt.Printf("final: %d tuples end to end; width=%d migrations=%d aborted=%d replayed=%d\n",
-		b.Sink.Count(), st.Allocated, st.MigrationsCompleted, st.MigrationsAborted, st.ReplayedTuples)
-	if inj != nil {
-		fmt.Printf("chaos: %d faults fired (seed %d)\n", len(inj.Events()), rcfg.chaosSeed)
-		os.Stdout.Write(inj.LogBytes())
-	}
-	return ocfg.writeArtifacts(mgr.FlightRecorder(), nil)
-}
-
-// runJob executes the workload as a multi-PE job, every PE adapting
-// independently.
-func runJob(b *workload.Build, maxThreads int, duration, period time.Duration, pes int,
-	tcfg pe.TransportConfig, rcfg resilienceConfig, streamStats bool, scfg schedConfig, ocfg obsConfig) error {
-	assign, err := pe.AssignContiguous(b.Graph, pes)
-	if err != nil {
-		return err
-	}
-	ecfg := core.DefaultConfig()
-	ecfg.MaxThreads = maxThreads
-	var inj *fault.Injector
-	if rcfg.chaos {
-		inj = fault.New(rcfg.chaosSeed)
-		// A canned chaos plan: kill the first stream's connection a few
-		// times during the run and panic an operator on the last PE until
-		// its budget trips. Everything downstream of the kill resumes from
-		// the retransmit ring; the panics exercise quarantine.
-		inj.Arm(fault.ConnKill, 0, fault.Plan{EveryN: 5000, MaxFires: 3})
-		inj.Arm(fault.OpPanic, fault.OpSite(pes-1, 1), fault.Plan{EveryN: 500, MaxFires: 8})
-	}
-	jobOpts := pe.Options{
-		Exec: scfg.execOptions(exec.Options{
-			MaxThreads:  maxThreads,
-			AdaptPeriod: period,
-			PanicBudget: rcfg.panicBudget,
-		}),
-		Elastic:        ecfg,
-		Transport:      tcfg,
-		Fault:          inj,
-		EnableWatchdog: rcfg.watchdog,
-		SampleEvery:    ocfg.sample,
-		Checkpoint: pe.CheckpointOptions{
-			Enabled:  rcfg.checkpoint,
-			Dir:      rcfg.ckptDir,
-			Interval: rcfg.ckptInterval,
-		},
-	}
-	if rcfg.watchdog {
-		// A watchdog trip dumps the flight recorder to stderr as it happens.
-		jobOpts.FlightDump = os.Stderr
-	}
-	job, err := pe.Launch(b.Graph, assign, jobOpts)
-	if err != nil {
-		return err
-	}
-	stopObs, err := ocfg.serve(monitor.ObservabilityHandler(job, job.Registries(), job.FlightRecorder()))
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	if err := job.Start(context.Background()); err != nil {
-		return err
-	}
-	defer job.Stop()
-	fmt.Printf("running %s as %d PEs (%d TCP streams) for %s\n",
-		b.Name, pes, len(job.Streams()), duration)
-	start := time.Now()
-	var last uint64
-	for time.Since(start) < duration {
-		time.Sleep(time.Second)
-		cur := b.Sink.Count()
-		fmt.Printf("t=%4.0fs  end-to-end=%8.0f tuples/s", time.Since(start).Seconds(), float64(cur-last))
-		last = cur
-		for _, rt := range job.PEs {
-			fmt.Printf("  PE%d[T=%d Q=%d]", rt.Plan.PE, rt.Eng.ThreadCount(), rt.Eng.Queues())
-		}
-		fmt.Println()
-	}
-	fmt.Printf("final: %d tuples end to end\n", b.Sink.Count())
-	if rcfg.checkpoint {
-		for i, cs := range job.CheckpointStats() {
-			fmt.Printf("PE%d checkpoints: committed=%d errors=%d skipped=%d restores=%d lastBytes=%d watermark=%d epoch=%d\n",
-				i, cs.Checkpoints, cs.Errors, cs.Skipped, cs.Restores, cs.LastBytes, cs.Watermark, cs.Epoch)
-		}
-	}
-	if scfg.stats {
-		for i, s := range job.SchedStats() {
-			printSched(fmt.Sprintf("PE%d", i), s)
-		}
-	}
-	if streamStats {
-		for _, st := range job.StreamStats() {
-			framesPerFlush := 0.0
-			if st.Flushes > 0 {
-				framesPerFlush = float64(st.WireFrames) / float64(st.Flushes)
-			}
-			fmt.Printf("stream %d PE%d->PE%d: sent=%d recv=%d dropped=%d bytesSent=%d bytesRecv=%d frames=%d framesRecv=%d flushes=%d framesPerFlush=%.1f drains=%v retrans=%d reconnects=%d dups=%d resumes=%d\n",
-				st.Stream, st.FromPE, st.ToPE, st.Sent, st.Received, st.Dropped,
-				st.BytesSent, st.BytesReceived, st.WireFrames, st.FramesReceived,
-				st.Flushes, framesPerFlush, st.DrainSizes,
-				st.Retransmits, st.Reconnects, st.DupsDropped, st.Resumes)
-		}
-	}
-	if rcfg.watchdog {
-		for _, h := range job.Health() {
-			fmt.Printf("watchdog %s: healthy=%v frozen=%v trips=%d recovers=%d lastCause=%q\n",
-				h.Name, h.Healthy, h.Frozen, h.Trips, h.Recovers, h.LastCause)
-		}
-	}
-	if rcfg.panicBudget > 0 {
-		for _, rt := range job.PEs {
-			sup := rt.Eng.Supervision()
-			if sup.Quarantines > 0 || sup.Dropped > 0 {
-				fmt.Printf("PE%d supervision: quarantines=%d releases=%d dropped=%d active=%d\n",
-					rt.Plan.PE, sup.Quarantines, sup.Releases, sup.Dropped, sup.Active)
-			}
-		}
-	}
-	if inj != nil {
-		fmt.Printf("chaos: %d faults fired (seed %d)\n", len(inj.Events()), rcfg.chaosSeed)
-		os.Stdout.Write(inj.LogBytes())
-	}
-	var trace []core.TraceEvent
-	if len(job.PEs) > 0 && job.PEs[0].Coord != nil {
-		trace = job.PEs[0].Coord.Trace()
-	}
-	return ocfg.writeArtifacts(job.FlightRecorder(), trace)
 }

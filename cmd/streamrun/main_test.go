@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -10,59 +11,69 @@ import (
 	"streamelastic/internal/pe"
 )
 
-// defaultSched is the default scheduler configuration the flag parser
-// produces.
-var defaultSched = schedConfig{fuse: true}
+// short returns a run of a generated shape with the small sizes the tests
+// share: 64-byte payloads, four scheduler threads, 100ms adaptation periods,
+// one PE.
+func short(shape string, ops int, flops float64, d time.Duration) runConfig {
+	return runConfig{
+		shape: shape, ops: ops, width: 4, depth: 8, payload: 64, flops: flops, batch: 1,
+		maxThreads: 4, duration: d, period: 100 * time.Millisecond, pes: 1,
+	}
+}
 
 func TestRunPipelineLive(t *testing.T) {
-	err := run("pipeline", 10, 4, 8, 64, 5000, false, 8, 4,
-		1500*time.Millisecond, 100*time.Millisecond, true, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false,
-		schedConfig{localQ: 128, stats: true, fuse: true}, obsConfig{})
-	if err != nil {
+	c := short("pipeline", 10, 5000, 1500*time.Millisecond)
+	c.batch = 8
+	c.trace = true
+	c.sched = schedConfig{localQ: 128, stats: true}
+	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSkewedBushy(t *testing.T) {
-	err := run("bushy", 0, 4, 8, 64, 100, true, 1, 2,
-		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false,
-		schedConfig{}, obsConfig{})
-	if err != nil {
+	c := short("bushy", 0, 100, 1200*time.Millisecond)
+	c.skewed = true
+	c.maxThreads = 2
+	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunMultiPE(t *testing.T) {
-	err := run("pipeline", 8, 4, 8, 64, 5000, false, 4, 4,
-		1500*time.Millisecond, 100*time.Millisecond, false, 2, "", 0,
-		pe.TransportConfig{FlushBytes: 8 << 10, MaxFlushDelay: 500 * time.Microsecond},
-		resilienceConfig{watchdog: true, panicBudget: 2}, true,
-		schedConfig{stats: true, fuse: true}, obsConfig{})
-	if err != nil {
+	c := short("pipeline", 8, 5000, 1500*time.Millisecond)
+	c.batch = 4
+	c.pes = 2
+	c.transport = pe.TransportConfig{FlushBytes: 8 << 10, MaxFlushDelay: 500 * time.Microsecond}
+	c.res = resilienceConfig{watchdog: true, panicBudget: 2}
+	c.streamStats = true
+	c.sched.stats = true
+	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunCluster(t *testing.T) {
-	err := run("pipeline", 8, 4, 8, 64, 2000, false, 4, 2,
-		2500*time.Millisecond, 100*time.Millisecond, false, 1, "2:4", time.Second,
-		pe.TransportConfig{}, resilienceConfig{}, false, defaultSched, obsConfig{})
-	if err != nil {
+	c := short("pipeline", 8, 2000, 2500*time.Millisecond)
+	c.batch = 4
+	c.maxThreads = 2
+	c.clusterSpec = "2:4"
+	c.clusterCycle = time.Second
+	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunClusterBadSpec(t *testing.T) {
-	if err := run("pipeline", 8, 4, 8, 64, 2000, false, 1, 2,
-		time.Second, 100*time.Millisecond, false, 1, "4:2", 0,
-		pe.TransportConfig{}, resilienceConfig{}, false, defaultSched, obsConfig{}); err == nil {
+	c := short("pipeline", 8, 2000, time.Second)
+	c.clusterSpec = "4:2"
+	if err := run(c); err == nil {
 		t.Fatal("inverted width spec accepted")
 	}
 }
 
 func TestRunUnknownShape(t *testing.T) {
-	if err := run("triangle", 10, 4, 8, 64, 100, false, 1, 4,
-		time.Second, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false, defaultSched, obsConfig{}); err == nil {
+	if err := run(short("triangle", 10, 100, time.Second)); err == nil {
 		t.Fatal("unknown shape accepted")
 	}
 }
@@ -72,6 +83,11 @@ func TestSchedConfigValidate(t *testing.T) {
 		if err := (schedConfig{localQ: bad}).validate(); err == nil {
 			t.Fatalf("-localq %d accepted", bad)
 		}
+		c := short("pipeline", 4, 100, 300*time.Millisecond)
+		c.sched.localQ = bad
+		if err := run(c); err == nil {
+			t.Fatalf("run accepted -localq %d", bad)
+		}
 	}
 	for _, good := range []int{0, 2, 256, 1 << 12} {
 		if err := (schedConfig{localQ: good}).validate(); err != nil {
@@ -80,35 +96,36 @@ func TestSchedConfigValidate(t *testing.T) {
 	}
 	// Validation guards the engine's own check: a capacity that passes here
 	// must be accepted by run too.
-	if err := run("pipeline", 4, 4, 8, 64, 100, false, 1, 2,
-		300*time.Millisecond, 100*time.Millisecond, false, 1, "", 0, pe.TransportConfig{}, resilienceConfig{}, false,
-		schedConfig{localQ: 64}, obsConfig{}); err != nil {
+	c := short("pipeline", 4, 100, 300*time.Millisecond)
+	c.maxThreads = 2
+	c.sched.localQ = 64
+	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWithObs(t *testing.T) {
 	dir := t.TempDir()
-	ocfg := obsConfig{
+	c := short("pipeline", 6, 2000, 1200*time.Millisecond)
+	c.batch = 4
+	c.maxThreads = 2
+	c.obs = obsConfig{
 		metricsAddr: "127.0.0.1:0",
 		flightPath:  dir + "/flight.txt",
 		tracePath:   dir + "/trace.json",
 		sample:      8,
 	}
-	err := run("pipeline", 6, 4, 8, 64, 2000, false, 4, 2,
-		1200*time.Millisecond, 100*time.Millisecond, false, 1, "", 0,
-		pe.TransportConfig{}, resilienceConfig{}, false, defaultSched, ocfg)
-	if err != nil {
+	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
-	flight, err := os.ReadFile(ocfg.flightPath)
+	flight, err := os.ReadFile(c.obs.flightPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(flight), "=== flight-recorder dump (exit) ===") {
 		t.Fatalf("flight dump malformed:\n%s", flight)
 	}
-	trace, err := os.ReadFile(ocfg.tracePath)
+	trace, err := os.ReadFile(c.obs.tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +147,45 @@ func TestRunFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(path, 4, 1200*time.Millisecond, 100*time.Millisecond, true, schedConfig{stats: true}, obsConfig{}); err != nil {
+	file := func(p string, d time.Duration) runConfig {
+		return runConfig{file: p, maxThreads: 4, duration: d, period: 100 * time.Millisecond, pes: 1}
+	}
+	c := file(path, 1200*time.Millisecond)
+	c.trace = true
+	c.sched.stats = true
+	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(dir+"/missing.txt", 4, time.Second, 100*time.Millisecond, false, defaultSched, obsConfig{}); err == nil {
+
+	// The file runs through the same launch path as a generated shape, so
+	// it splits across PEs and checkpoints like one.
+	ckpt := t.TempDir()
+	c = file(path, 1200*time.Millisecond)
+	c.pes = 2
+	c.res = resilienceConfig{checkpoint: true, ckptDir: ckpt, ckptInterval: 200 * time.Millisecond}
+	c.streamStats = true
+	if err := run(c); err != nil {
+		t.Fatal(err)
+	}
+	for _, log := range []string{"pe0.ckpt", "pe1.ckpt"} {
+		if _, err := os.Stat(filepath.Join(ckpt, log)); err != nil {
+			t.Fatalf("checkpoint log %s: %v", log, err)
+		}
+	}
+
+	if err := run(file(dir+"/missing.txt", time.Second)); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := dir + "/bad.txt"
 	if err := os.WriteFile(bad, []byte("gibberish"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runFile(bad, 4, time.Second, 100*time.Millisecond, false, defaultSched, obsConfig{}); err == nil {
+	if err := run(file(bad, time.Second)); err == nil {
 		t.Fatal("bad topology accepted")
+	}
+	c = file(path, time.Second)
+	c.pes = 4
+	if err := run(c); err == nil {
+		t.Fatal("more PEs than operators accepted")
 	}
 }

@@ -257,7 +257,7 @@ func TestClusterStatusz(t *testing.T) {
 	}
 	defer m.Stop()
 
-	srv := httptest.NewServer(monitor.ObservabilityHandlerDynamic(m, m.Registries, m.FlightRecorder()))
+	srv := httptest.NewServer(monitor.ObservabilityHandler(m))
 	defer srv.Close()
 
 	sts := scrapeStatus(t, srv.URL)

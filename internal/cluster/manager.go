@@ -605,12 +605,7 @@ func (m *Manager) Statuses() []monitor.Status {
 	mems := append([]*member(nil), m.members...)
 	m.mu.Unlock()
 	for _, mem := range mems {
-		var h *monitor.WatchdogStatus
-		if mem.rt.Watchdog != nil {
-			st := mem.rt.Watchdog.Status()
-			h = &st
-		}
-		out = append(out, monitor.BuildStatus(fmt.Sprintf("pe%d", mem.id), mem.reg, h))
+		out = append(out, mem.rt.Status(fmt.Sprintf("pe%d", mem.id)))
 	}
 	return out
 }
@@ -623,9 +618,5 @@ func (m *Manager) AdaptationTrace(index int) []core.TraceEvent {
 	if index < 1 || index > len(m.members) {
 		return nil
 	}
-	rt := m.members[index-1].rt
-	if rt.Coord == nil {
-		return nil
-	}
-	return rt.Coord.Trace()
+	return m.members[index-1].rt.Trace()
 }

@@ -384,8 +384,11 @@ func TestConfigSnapshotWarmStart(t *testing.T) {
 	// Warm-start a fresh engine from the snapshot: it must be settled
 	// after a single observation, at the converged configuration.
 	f2 := heavyLightEngine()
-	c2, err := NewCoordinatorFrom(f2, DefaultConfig(), snap)
+	c2, err := NewCoordinator(f2, DefaultConfig())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	settled, err := c2.Step()
@@ -436,17 +439,48 @@ func TestConfigSnapshotRoundTripsJSON(t *testing.T) {
 	}
 }
 
-func TestNewCoordinatorFromValidation(t *testing.T) {
+func TestRestoreValidation(t *testing.T) {
 	f := heavyLightEngine()
-	if _, err := NewCoordinatorFrom(f, DefaultConfig(), ConfigSnapshot{Placement: make([]bool, 2), Threads: 1}); err == nil {
-		t.Fatal("wrong-length snapshot accepted")
+	c, err := NewCoordinator(f, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewCoordinatorFrom(f, DefaultConfig(), ConfigSnapshot{Placement: make([]bool, f.NumOperators()), Threads: 0}); err == nil {
-		t.Fatal("zero-thread snapshot accepted")
+	n := f.NumOperators()
+	for _, bad := range []struct {
+		name string
+		snap ConfigSnapshot
+	}{
+		{"short placement", ConfigSnapshot{Placement: make([]bool, 2), Threads: 1}},
+		{"long placement", ConfigSnapshot{Placement: make([]bool, n+1), Threads: 1}},
+		{"zero threads", ConfigSnapshot{Placement: make([]bool, n), Threads: 0}},
+		{"threads above engine max", ConfigSnapshot{Placement: make([]bool, n), Threads: f.MaxThreads() + 1}},
+	} {
+		if err := c.Restore(bad.snap); err == nil {
+			t.Fatalf("%s: snapshot accepted", bad.name)
+		}
 	}
-	bad := DefaultConfig()
-	bad.Sens = -1
-	if _, err := NewCoordinatorFrom(f, bad, ConfigSnapshot{Placement: make([]bool, f.NumOperators()), Threads: 1}); err == nil {
-		t.Fatal("invalid config accepted")
+	// A rejected snapshot leaves the coordinator usable: a valid one is
+	// still accepted, and the first observation settles on it.
+	placement := make([]bool, n)
+	placement[n-1] = true
+	if err := c.Restore(ConfigSnapshot{Placement: placement, Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	settled, err := c.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !settled {
+		t.Fatal("restored coordinator not settled after its first observation")
+	}
+	if tr := c.Trace(); len(tr) != 1 || tr[0].Phase != PhaseSettled {
+		t.Fatalf("first observation trace = %+v, want one settled event", tr)
+	}
+	if f.ThreadCount() != 2 || !placementsEqual(f.Placement(), placement) {
+		t.Fatalf("restored configuration T=%d placement=%v", f.ThreadCount(), f.Placement())
+	}
+	// Once adaptation has begun, restoring is refused.
+	if err := c.Restore(ConfigSnapshot{Placement: make([]bool, n), Threads: 1}); err == nil {
+		t.Fatal("restore after the first step accepted")
 	}
 }

@@ -30,36 +30,32 @@ func (c *Coordinator) ConfigSnapshot() ConfigSnapshot {
 	}
 }
 
-// NewCoordinatorFrom restores a snapshot onto the engine and returns a
-// coordinator that starts in the settled state: it monitors throughput and
-// re-adapts only when the workload deviates, exactly as if it had converged
-// to the snapshot itself.
-func NewCoordinatorFrom(eng Engine, cfg Config, snap ConfigSnapshot) (*Coordinator, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// Restore applies a snapshot to the engine and puts the coordinator in the
+// settled state: the next observation measures the restored configuration
+// and settles on it, and from then on the coordinator re-adapts only when
+// the workload deviates, exactly as if it had converged to the snapshot
+// itself. It must be called before the first Step.
+func (c *Coordinator) Restore(snap ConfigSnapshot) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.trace.Len() > 0 {
+		return fmt.Errorf("core: restore after adaptation began")
 	}
-	if len(snap.Placement) != eng.NumOperators() {
-		return nil, fmt.Errorf("core: snapshot covers %d operators, engine has %d",
-			len(snap.Placement), eng.NumOperators())
+	if len(snap.Placement) != c.eng.NumOperators() {
+		return fmt.Errorf("core: snapshot covers %d operators, engine has %d",
+			len(snap.Placement), c.eng.NumOperators())
 	}
-	if snap.Threads < 1 || snap.Threads > eng.MaxThreads() {
-		return nil, fmt.Errorf("core: snapshot thread count %d outside [1, %d]",
-			snap.Threads, eng.MaxThreads())
+	if snap.Threads < 1 || snap.Threads > c.eng.MaxThreads() {
+		return fmt.Errorf("core: snapshot thread count %d outside [1, %d]",
+			snap.Threads, c.eng.MaxThreads())
 	}
-	if err := eng.ApplyPlacement(snap.Placement); err != nil {
-		return nil, fmt.Errorf("restore placement: %w", err)
+	if err := c.eng.ApplyPlacement(snap.Placement); err != nil {
+		return fmt.Errorf("restore placement: %w", err)
 	}
-	if err := eng.SetThreadCount(snap.Threads); err != nil {
-		return nil, fmt.Errorf("restore thread count: %w", err)
+	if err := c.eng.SetThreadCount(snap.Threads); err != nil {
+		return fmt.Errorf("restore thread count: %w", err)
 	}
-	c := &Coordinator{
-		eng: eng,
-		cfg: cfg,
-		rng: newSeededRand(cfg.Seed),
-	}
-	// The first observation measures the restored configuration and enters
-	// the settled state directly.
 	c.initialTMDone = true
 	c.settleNext = true
-	return c, nil
+	return nil
 }

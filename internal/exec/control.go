@@ -201,15 +201,20 @@ func (e *Engine) DrainAndStop(timeout time.Duration) bool {
 
 // WaitIdle blocks until all scheduler queues are empty and sources have
 // finished, or the timeout elapses; it reports whether the engine became
-// idle. Tests use it to assert tuple conservation with bounded sources.
+// idle. A source counts as finished once it stops emitting: its last turn
+// emitted nothing (or its loop exited) and it does not start again across
+// the settle re-check, so a parked import source (polling a quiet stream)
+// is idle and a generator between two turns is not. Tests use it to assert
+// tuple conservation with bounded sources.
 func (e *Engine) WaitIdle(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if e.idle() {
+		if flips, ok := e.idle(); ok {
 			// Double-check after a short settle to avoid racing a tuple
-			// that is mid-flight between queues.
+			// that is mid-flight between queues, or a parked source that
+			// emitted and parked again in between.
 			time.Sleep(5 * time.Millisecond)
-			if e.idle() {
+			if again, ok := e.idle(); ok && again == flips {
 				return true
 			}
 		}
@@ -218,19 +223,29 @@ func (e *Engine) WaitIdle(timeout time.Duration) bool {
 	return false
 }
 
-func (e *Engine) idle() bool {
+// idle reports whether every queue and deque is empty and no source is
+// emitting, with the sources' summed activity markers for the settle
+// re-check.
+func (e *Engine) idle() (flips uint64, ok bool) {
 	cfg := e.cfg.Load()
 	for _, nid := range cfg.queueList {
 		if cfg.queues[nid].Len() > 0 {
-			return false
+			return 0, false
 		}
 	}
 	for _, s := range *e.slots.Load() {
 		if !s.deq.Empty() {
-			return false
+			return 0, false
 		}
 	}
-	return true
+	for i := range e.srcStats {
+		n := e.srcStats[i].SourceFlips.Load()
+		if n&1 == 1 {
+			return 0, false
+		}
+		flips += n
+	}
+	return flips, true
 }
 
 // QueueStats summarizes the scheduler queues' instantaneous state.

@@ -649,6 +649,7 @@ func (e *Engine) sourceLoop(idx int, id graph.NodeID) {
 	em.node = id
 	em.stats = &e.srcStats[idx]
 	em.origin = idx
+	defer em.setSourceActive(false)
 	// Sources stripe the sink meter from the top so inline sink execution on
 	// a source loop does not share a stripe with the same-numbered worker.
 	em.sinkMeter = e.meter.Shard(metrics.MeterShards - 1 - idx)
@@ -663,6 +664,7 @@ func (e *Engine) sourceLoop(idx int, id graph.NodeID) {
 			em.srcProg = progs[id]
 		}
 		em.node = id
+		em.armed = true
 		ts.Enter(int(id))
 		more := src.Next(em)
 		ts.Leave()
@@ -672,6 +674,10 @@ func (e *Engine) sourceLoop(idx int, id graph.NodeID) {
 		// barrier only ever see an empty buffer.
 		if len(em.srcBuf) > 0 {
 			e.flushSource(em)
+		}
+		if em.armed {
+			em.armed = false
+			em.setSourceActive(false) // a turn without output: parked
 		}
 		if !more {
 			return
@@ -989,6 +995,13 @@ type emitter struct {
 	coll    stageCollector
 	srcProg *regionProgram
 	srcBuf  []*spl.Tuple
+
+	// armed is set by a source loop before each turn and cleared by the
+	// turn's first emission; srcActive mirrors the parity of the source's
+	// SourceFlips marker (WaitIdle's view of running sources). Both stay
+	// false off source loops.
+	armed     bool
+	srcActive bool
 }
 
 // newEmitter returns a dispatch-loop emitter with counters defaulted to the
@@ -1024,6 +1037,9 @@ var (
 // without ever being re-serialized into per-tuple delivery — otherwise it
 // falls back to per-tuple Emit with identical semantics.
 func (em *emitter) EmitN(port int, ts []*spl.Tuple) {
+	if em.armed {
+		em.beginTurn()
+	}
 	node := em.node
 	if p := em.srcProg; p != nil && node == p.head && port == p.srcPort {
 		if em.e.opts.TrackLatency && em.e.isSource[node] {
@@ -1040,11 +1056,32 @@ func (em *emitter) EmitN(port int, ts []*spl.Tuple) {
 	}
 }
 
+// beginTurn records a source turn's first emission. A source loop runs
+// downstream operators only inline behind its own emissions, so the first
+// Emit of a turn is always the source's.
+func (em *emitter) beginTurn() {
+	em.armed = false
+	em.setSourceActive(true)
+}
+
+// setSourceActive flips the source's SourceFlips marker when its state
+// changes: odd from the first emission until a turn emits nothing or the
+// loop exits. A steadily emitting source never touches the counter.
+func (em *emitter) setSourceActive(active bool) {
+	if em.srcActive != active {
+		em.srcActive = active
+		em.stats.SourceFlips.Add(1)
+	}
+}
+
 // Emit implements spl.Emitter. Because the emitter is shared down inline
 // execution chains, Emit snapshots the emitting node on entry and restores
 // the emitter and the profiler state once after the last edge — and only
 // when an inline delivery actually clobbered them.
 func (em *emitter) Emit(port int, t *spl.Tuple) {
+	if em.armed {
+		em.beginTurn()
+	}
 	node := em.node
 	if em.e.opts.TrackLatency && em.e.isSource[node] {
 		t.Time = time.Now().UnixNano()

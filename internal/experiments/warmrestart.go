@@ -61,8 +61,11 @@ func WarmRestart() (*WarmRestartResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	wcoord, err := core.NewCoordinatorFrom(warm, core.DefaultConfig(), snap)
+	wcoord, err := core.NewCoordinator(warm, core.DefaultConfig())
 	if err != nil {
+		return nil, err
+	}
+	if err := wcoord.Restore(snap); err != nil {
 		return nil, err
 	}
 	if _, ok, err := wcoord.RunUntilSettled(10); err != nil || !ok {

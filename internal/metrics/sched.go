@@ -33,6 +33,11 @@ type SchedCounters struct {
 	// program; FusedTuples counts the tuples that entered those batches.
 	FusedBatches atomic.Uint64
 	FusedTuples  atomic.Uint64
+	// SourceFlips is a source loop's activity marker: it is bumped when
+	// the source starts emitting and again when a turn of it emits nothing
+	// (an import polling a quiet stream) or its loop exits, so an odd value
+	// means the source is still producing. Not part of SchedSnapshot.
+	SourceFlips atomic.Uint64
 
 	_ [64]byte
 }

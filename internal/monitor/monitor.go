@@ -9,6 +9,7 @@ import (
 
 	"streamelastic/internal/core"
 	"streamelastic/internal/metrics"
+	"streamelastic/internal/obs"
 )
 
 // Status is one engine's externally visible state.
@@ -131,79 +132,12 @@ type Provider interface {
 	Statuses() []Status
 	// AdaptationTrace returns the trace of the indexed engine, or nil.
 	AdaptationTrace(index int) []core.TraceEvent
-}
-
-// Handler serves the monitoring API:
-//
-//	GET /statusz          -> []Status
-//	GET /tracez?pe=N      -> the adaptation trace of engine N (default 0)
-//	GET /sasoz?pe=N       -> SASO analysis of engine N's trace
-func Handler(p Provider) http.Handler {
-	mux := http.NewServeMux()
-	mountStatus(mux, p)
-	return mux
-}
-
-// mountStatus registers the status/trace/SASO routes on mux; Handler and
-// ObservabilityHandler share it.
-func mountStatus(mux *http.ServeMux, p Provider) {
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, p.Statuses())
-	})
-	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
-		idx, ok := peIndex(w, r)
-		if !ok {
-			return
-		}
-		tr := p.AdaptationTrace(idx)
-		if tr == nil {
-			http.Error(w, "no trace for that engine", http.StatusNotFound)
-			return
-		}
-		type event struct {
-			TimeSecs   float64 `json:"timeSecs"`
-			Throughput float64 `json:"throughput"`
-			Threads    int     `json:"threads"`
-			Queues     int     `json:"queues"`
-			Phase      string  `json:"phase"`
-			Note       string  `json:"note"`
-		}
-		out := make([]event, 0, len(tr))
-		for _, e := range tr {
-			out = append(out, event{
-				TimeSecs:   e.Time.Seconds(),
-				Throughput: e.Throughput,
-				Threads:    e.Threads,
-				Queues:     e.Queues,
-				Phase:      string(e.Phase),
-				Note:       e.Note,
-			})
-		}
-		writeJSON(w, out)
-	})
-	mux.HandleFunc("/sasoz", func(w http.ResponseWriter, r *http.Request) {
-		idx, ok := peIndex(w, r)
-		if !ok {
-			return
-		}
-		tr := p.AdaptationTrace(idx)
-		if tr == nil {
-			http.Error(w, "no trace for that engine", http.StatusNotFound)
-			return
-		}
-		a := core.AnalyzeTrace(tr)
-		writeJSON(w, map[string]any{
-			"observations":      a.Observations,
-			"settleTimeSecs":    a.SettleTime.Seconds(),
-			"configChanges":     a.ConfigChanges,
-			"oscillations":      a.Oscillations,
-			"postSettleChanges": a.PostSettleChanges,
-			"accuracy":          a.Accuracy(),
-			"overshootThreads":  a.Overshoot(),
-			"finalThroughput":   a.FinalThroughput,
-			"peakThroughput":    a.PeakThroughput,
-		})
-	})
+	// Registries returns the telemetry registries behind /metrics. The
+	// handler calls it on every scrape, so a provider whose PE set changes
+	// while serving (a cluster resizing its fleet) is always current.
+	Registries() []*obs.Registry
+	// FlightRecorder returns the recorder /flightz dumps, or nil.
+	FlightRecorder() *obs.FlightRecorder
 }
 
 // peIndex parses the pe query parameter, writing an error response on

@@ -5,24 +5,47 @@ import (
 	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"streamelastic/internal/core"
+	"streamelastic/internal/obs"
 )
 
+// fakeProvider serves canned statuses and traces. Its registry set sits
+// behind a mutex so a test can swap it between scrapes, the way a cluster
+// resizes its fleet while the handler serves.
 type fakeProvider struct {
 	statuses []Status
 	traces   map[int][]core.TraceEvent
+	rec      *obs.FlightRecorder
+
+	mu   sync.Mutex
+	regs []*obs.Registry
 }
 
-func (f fakeProvider) Statuses() []Status { return f.statuses }
+func (f *fakeProvider) Statuses() []Status { return f.statuses }
 
-func (f fakeProvider) AdaptationTrace(i int) []core.TraceEvent { return f.traces[i] }
+func (f *fakeProvider) AdaptationTrace(i int) []core.TraceEvent { return f.traces[i] }
 
-func newServer(t *testing.T) (*httptest.Server, fakeProvider) {
+func (f *fakeProvider) Registries() []*obs.Registry {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.regs
+}
+
+func (f *fakeProvider) setRegistries(regs ...*obs.Registry) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.regs = regs
+}
+
+func (f *fakeProvider) FlightRecorder() *obs.FlightRecorder { return f.rec }
+
+func newServer(t *testing.T) (*httptest.Server, *fakeProvider) {
 	t.Helper()
-	p := fakeProvider{
+	p := &fakeProvider{
 		statuses: []Status{{
 			Name: "pe0", Operators: 10, Threads: 4, Queues: 3,
 			Settled: true, SinkTuples: 12345, UptimeSecs: 9.5,
@@ -39,7 +62,7 @@ func newServer(t *testing.T) (*httptest.Server, fakeProvider) {
 			},
 		},
 	}
-	srv := httptest.NewServer(Handler(p))
+	srv := httptest.NewServer(ObservabilityHandler(p))
 	t.Cleanup(srv.Close)
 	return srv, p
 }
@@ -174,5 +197,42 @@ func TestSASOEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != 404 {
 		t.Fatalf("missing trace status %d", resp2.StatusCode)
+	}
+}
+
+// TestMetricsFollowRegistries checks /metrics re-reads the provider's
+// registry set on every scrape: a registry added after the handler was
+// built shows up, and a removed one disappears.
+func TestMetricsFollowRegistries(t *testing.T) {
+	srv, p := newServer(t)
+	counter := func(pe string, v uint64) *obs.Registry {
+		r := obs.NewRegistry(obs.Label{Key: "pe", Value: pe})
+		r.CounterFunc(obs.MetricSinkTuples, "sink tuples", func() uint64 { return v })
+		return r
+	}
+	scrape := func() string {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	pe0, pe1 := counter("0", 11), counter("1", 22)
+
+	p.setRegistries(pe0)
+	first := scrape()
+	if !strings.Contains(first, `engine_sink_tuples_total{pe="0"} 11`) || strings.Contains(first, `pe="1"`) {
+		t.Fatalf("first scrape:\n%s", first)
+	}
+	p.setRegistries(pe1)
+	second := scrape()
+	if !strings.Contains(second, `engine_sink_tuples_total{pe="1"} 22`) || strings.Contains(second, `pe="0"`) {
+		t.Fatalf("second scrape did not follow the registry change:\n%s", second)
 	}
 }

@@ -77,6 +77,10 @@ func BuildStatus(name string, reg *obs.Registry, health *WatchdogStatus) Status 
 			sched.Parks, sawSched = s.U, true
 		case obs.MetricSchedWakes:
 			sched.Wakes, sawSched = s.U, true
+		case obs.MetricSchedFusedBatches:
+			sched.FusedBatches, sawSched = s.U, true
+		case obs.MetricSchedFusedTuples:
+			sched.FusedTuples, sawSched = s.U, true
 		case obs.MetricCkptTotal:
 			ckpt().Checkpoints = s.U
 		case obs.MetricCkptErrors:
@@ -180,34 +184,84 @@ func trimBuckets(buckets []uint64) []uint64 {
 	return out
 }
 
-// ObservabilityHandler serves the full observability surface:
+// ObservabilityHandler serves the full observability surface of p:
 //
 //	GET /statusz               -> []Status (from the telemetry registries)
 //	GET /tracez?pe=N           -> adaptation trace of engine N as JSON rows
 //	GET /tracez.json?pe=N      -> the same trace as Chrome trace_event JSON
 //	GET /sasoz?pe=N            -> SASO analysis of engine N's trace
-//	GET /metrics               -> Prometheus text exposition over all regs
-//	GET /flightz               -> flight-recorder dump (404 when fr is nil)
+//	GET /metrics               -> Prometheus text over p.Registries()
+//	GET /flightz               -> flight-recorder dump (404 without one)
 //	GET /debug/pprof/...       -> net/http/pprof profiles
-//
-// It supersedes Handler for callers that hold registries; Handler remains
-// for status-only consumers.
-func ObservabilityHandler(p Provider, regs []*obs.Registry, fr *obs.FlightRecorder) http.Handler {
-	return ObservabilityHandlerDynamic(p, func() []*obs.Registry { return regs }, fr)
-}
-
-// ObservabilityHandlerDynamic is ObservabilityHandler for providers whose
-// registry set changes while serving — a cluster job manager grows and
-// shrinks its PE fleet, and each scrape must see the current members'
-// registries, not the launch-time snapshot.
-func ObservabilityHandlerDynamic(p Provider, regs func() []*obs.Registry, fr *obs.FlightRecorder) http.Handler {
+func ObservabilityHandler(p Provider) http.Handler {
+	// trace resolves the ?pe=N trace, writing the error response when
+	// there is none.
+	trace := func(w http.ResponseWriter, r *http.Request) ([]core.TraceEvent, bool) {
+		idx, ok := peIndex(w, r)
+		if !ok {
+			return nil, false
+		}
+		tr := p.AdaptationTrace(idx)
+		if tr == nil {
+			http.Error(w, "no trace for that engine", http.StatusNotFound)
+			return nil, false
+		}
+		return tr, true
+	}
 	mux := http.NewServeMux()
-	mountStatus(mux, p)
+	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, p.Statuses())
+	})
+	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
+		tr, ok := trace(w, r)
+		if !ok {
+			return
+		}
+		type event struct {
+			TimeSecs   float64 `json:"timeSecs"`
+			Throughput float64 `json:"throughput"`
+			Threads    int     `json:"threads"`
+			Queues     int     `json:"queues"`
+			Phase      string  `json:"phase"`
+			Note       string  `json:"note"`
+		}
+		out := make([]event, 0, len(tr))
+		for _, e := range tr {
+			out = append(out, event{
+				TimeSecs:   e.Time.Seconds(),
+				Throughput: e.Throughput,
+				Threads:    e.Threads,
+				Queues:     e.Queues,
+				Phase:      string(e.Phase),
+				Note:       e.Note,
+			})
+		}
+		writeJSON(w, out)
+	})
+	mux.HandleFunc("/sasoz", func(w http.ResponseWriter, r *http.Request) {
+		tr, ok := trace(w, r)
+		if !ok {
+			return
+		}
+		a := core.AnalyzeTrace(tr)
+		writeJSON(w, map[string]any{
+			"observations":      a.Observations,
+			"settleTimeSecs":    a.SettleTime.Seconds(),
+			"configChanges":     a.ConfigChanges,
+			"oscillations":      a.Oscillations,
+			"postSettleChanges": a.PostSettleChanges,
+			"accuracy":          a.Accuracy(),
+			"overshootThreads":  a.Overshoot(),
+			"finalThroughput":   a.FinalThroughput,
+			"peakThroughput":    a.PeakThroughput,
+		})
+	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = obs.WritePrometheusAll(w, regs()...)
+		_ = obs.WritePrometheusAll(w, p.Registries()...)
 	})
 	mux.HandleFunc("/flightz", func(w http.ResponseWriter, r *http.Request) {
+		fr := p.FlightRecorder()
 		if fr == nil {
 			http.Error(w, "no flight recorder", http.StatusNotFound)
 			return
@@ -216,13 +270,8 @@ func ObservabilityHandlerDynamic(p Provider, regs func() []*obs.Registry, fr *ob
 		_ = fr.DumpTo(w)
 	})
 	mux.HandleFunc("/tracez.json", func(w http.ResponseWriter, r *http.Request) {
-		idx, ok := peIndex(w, r)
+		tr, ok := trace(w, r)
 		if !ok {
-			return
-		}
-		tr := p.AdaptationTrace(idx)
-		if tr == nil {
-			http.Error(w, "no trace for that engine", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -86,9 +86,9 @@ const (
 	MetricCkptDirtyKeys = "checkpoint_dirty_keys"
 )
 
-// RegisterSettled registers the coordinator's settled gauge on r. Every
-// coordinator owner (runtime, PE job, streamrun's single-PE path) goes
-// through here so the series keeps one name and help string.
+// RegisterSettled registers the coordinator's settled gauge on r. PE
+// construction (pe.NewPERuntime) is its one caller, so every runtime, job
+// and cluster member exposes the series under one name and help string.
 func RegisterSettled(r *Registry, settled func() bool) {
 	r.GaugeFunc(MetricSettled, "Whether the elastic coordinator has settled (1) or is still adapting (0).", func() float64 {
 		if settled() {

@@ -93,6 +93,7 @@ type PERuntime struct {
 	// Ckpt is the PE's checkpoint coordinator (nil unless enabled).
 	Ckpt *exec.Checkpointer
 
+	rec    *obs.FlightRecorder
 	cancel context.CancelFunc
 	done   chan struct{}
 }

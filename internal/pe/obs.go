@@ -111,9 +111,9 @@ func registerWatchdogMetrics(r *obs.Registry, wd *monitor.Watchdog) {
 		func() uint64 { return wd.Status().Recovers })
 }
 
-// Registries returns every PE's telemetry registry, in PE order. Feed them
-// to monitor.ObservabilityHandler (or obs.WritePrometheusAll) for a merged
-// /metrics exposition; series carry a pe="N" label.
+// Registries returns every PE's telemetry registry, in PE order, for a
+// merged /metrics exposition (monitor.ObservabilityHandler or
+// obs.WritePrometheusAll); series carry a pe="N" label.
 func (j *Job) Registries() []*obs.Registry { return j.regs }
 
 // FlightRecorder returns the job's shared flight recorder: one bounded ring
@@ -148,12 +148,7 @@ var _ monitor.Provider = (*Job)(nil)
 func (j *Job) Statuses() []monitor.Status {
 	out := make([]monitor.Status, 0, len(j.PEs))
 	for _, rt := range j.PEs {
-		var h *monitor.WatchdogStatus
-		if rt.Watchdog != nil {
-			st := rt.Watchdog.Status()
-			h = &st
-		}
-		out = append(out, monitor.BuildStatus(fmt.Sprintf("pe%d", rt.Plan.PE), rt.Reg, h))
+		out = append(out, rt.Statuses()...)
 	}
 	return out
 }
@@ -165,9 +160,5 @@ func (j *Job) AdaptationTrace(index int) []core.TraceEvent {
 	if index < 0 || index >= len(j.PEs) {
 		return nil
 	}
-	rt := j.PEs[index]
-	if rt.Coord == nil {
-		return nil
-	}
-	return rt.Coord.Trace()
+	return j.PEs[index].Trace()
 }

@@ -7,13 +7,16 @@ import (
 	"streamelastic/internal/core"
 	"streamelastic/internal/exec"
 	"streamelastic/internal/fault"
+	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
 )
 
 // NewPERuntime constructs one processing element from its plan: the engine,
 // the optional elastic coordinator, watchdog, and checkpointer, all
-// reporting into reg and rec. It is the per-PE half of Launch, exported so
-// the cluster job manager can build replacement PEs while a job runs.
+// reporting into reg and rec. It is the only place a PE is assembled: Launch
+// builds every PE of a job with it, the cluster job manager builds
+// replacement PEs with it while a job runs, and the single-engine
+// streamelastic.Runtime is one PE built with it.
 // dumpOnTrip (optional) receives a reason string each time the watchdog
 // trips. Stream endpoints must be wired before the runtime starts.
 func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts Options, dumpOnTrip func(string)) (*PERuntime, error) {
@@ -31,7 +34,7 @@ func NewPERuntime(plan *Plan, reg *obs.Registry, rec *obs.FlightRecorder, opts O
 	if err != nil {
 		return nil, fmt.Errorf("pe %d: %w", plan.PE, err)
 	}
-	rt := &PERuntime{Plan: plan, Eng: eng, Reg: reg}
+	rt := &PERuntime{Plan: plan, Eng: eng, Reg: reg, rec: rec}
 	if !opts.DisableElasticity {
 		cfg := opts.Elastic
 		if cfg == (core.Config{}) {
@@ -133,3 +136,45 @@ func (rt *PERuntime) StopControl() {
 func (rt *PERuntime) StopEngine() {
 	rt.Eng.Stop()
 }
+
+// Status renders the PE's monitoring row, named name, from its registry
+// and watchdog verdict.
+func (rt *PERuntime) Status(name string) monitor.Status {
+	var h *monitor.WatchdogStatus
+	if rt.Watchdog != nil {
+		st := rt.Watchdog.Status()
+		h = &st
+	}
+	return monitor.BuildStatus(name, rt.Reg, h)
+}
+
+// Trace returns the PE's adaptation trace; nil when elasticity is disabled.
+func (rt *PERuntime) Trace() []core.TraceEvent {
+	if rt.Coord == nil {
+		return nil
+	}
+	return rt.Coord.Trace()
+}
+
+var _ monitor.Provider = (*PERuntime)(nil)
+
+// Statuses implements monitor.Provider for a PE served on its own: one row,
+// named pe<N>.
+func (rt *PERuntime) Statuses() []monitor.Status {
+	return []monitor.Status{rt.Status(fmt.Sprintf("pe%d", rt.Plan.PE))}
+}
+
+// AdaptationTrace implements monitor.Provider: index 0 is the PE itself.
+func (rt *PERuntime) AdaptationTrace(index int) []core.TraceEvent {
+	if index != 0 {
+		return nil
+	}
+	return rt.Trace()
+}
+
+// Registries implements monitor.Provider.
+func (rt *PERuntime) Registries() []*obs.Registry { return []*obs.Registry{rt.Reg} }
+
+// FlightRecorder implements monitor.Provider: the recorder the PE reports
+// into (shared with the rest of its job).
+func (rt *PERuntime) FlightRecorder() *obs.FlightRecorder { return rt.rec }

@@ -142,14 +142,7 @@ func (j *Job) SchedStats() []metrics.SchedSnapshot { return j.job.SchedStats() }
 // Trace returns the adaptation trace of one PE (nil when elasticity is
 // disabled or the index is out of range).
 func (j *Job) Trace(peIndex int) []TraceEvent {
-	if peIndex < 0 || peIndex >= len(j.job.PEs) {
-		return nil
-	}
-	rt := j.job.PEs[peIndex]
-	if rt.Coord == nil {
-		return nil
-	}
-	return rt.Coord.Trace()
+	return j.job.AdaptationTrace(peIndex)
 }
 
 // MetricsHandler returns an http.Handler serving every PE's state (see
@@ -158,7 +151,7 @@ func (j *Job) Trace(peIndex int) []TraceEvent {
 // /debug/pprof. The pe.Job itself is the status provider, rendering each
 // PE's Status from its telemetry registry.
 func (j *Job) MetricsHandler() http.Handler {
-	return monitor.ObservabilityHandler(j.job, j.job.Registries(), j.job.FlightRecorder())
+	return monitor.ObservabilityHandler(j.job)
 }
 
 // Registries returns every PE's telemetry registry, in PE order.

@@ -13,6 +13,7 @@ import (
 	"streamelastic/internal/metrics"
 	"streamelastic/internal/monitor"
 	"streamelastic/internal/obs"
+	"streamelastic/internal/pe"
 )
 
 // Elasticity controller types, re-exported.
@@ -63,10 +64,6 @@ type RuntimeOptions struct {
 	// time into the telemetry registry. 0 disables sampling; the disabled
 	// hot path costs a single integer compare.
 	SampleEvery int
-	// DisableRegionCompile turns off manual-region compilation: every
-	// delivery runs through the interpreted tuple-at-a-time path (A/B
-	// baselines).
-	DisableRegionCompile bool
 }
 
 // LatencySnapshot summarizes end-to-end tuple latency.
@@ -77,16 +74,13 @@ type LatencySnapshot = metrics.LatencySnapshot
 type ConfigSnapshot = core.ConfigSnapshot
 
 // Runtime executes a topology live on goroutines with multi-level
-// elasticity adapting it in the background.
+// elasticity adapting it in the background. It is a one-PE job: the same
+// processing element (engine, coordinator, flight-recorder feed, settled
+// gauge) that every PE of a Job runs, with an unlabelled registry.
 type Runtime struct {
-	eng   *exec.Engine
-	coord *core.Coordinator
-	reg   *obs.Registry
-	rec   *obs.FlightRecorder
+	pe *pe.PERuntime
 
 	mu      sync.Mutex
-	cancel  context.CancelFunc
-	done    chan struct{}
 	started bool
 }
 
@@ -96,55 +90,38 @@ func NewRuntime(t *Topology, opts RuntimeOptions) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := obs.NewFlightRecorder(obs.DefaultFlightRecorderSize)
-	eng, err := exec.New(g, exec.Options{
-		MaxThreads:           opts.MaxThreads,
-		QueueCapacity:        opts.QueueCapacity,
-		AdaptPeriod:          opts.AdaptPeriod,
-		TrackLatency:         opts.TrackLatency,
-		LocalQueueCapacity:   opts.LocalQueueCapacity,
-		SampleEvery:          opts.SampleEvery,
-		DisableRegionCompile: opts.DisableRegionCompile,
-		Recorder:             rec,
-	})
+	plans, _, err := pe.Partition(g, make(pe.Assignment, g.NumNodes()))
 	if err != nil {
 		return nil, err
 	}
-	r := &Runtime{eng: eng, reg: eng.Registry(), rec: rec}
-	obs.RegisterSettled(r.reg, r.Settled)
-	if !opts.DisableElasticity {
-		cfg := opts.Elastic
-		if cfg == (ElasticConfig{}) {
-			cfg = DefaultElasticConfig()
-		}
-		var coord *core.Coordinator
-		if opts.WarmStart != nil {
-			coord, err = core.NewCoordinatorFrom(eng, cfg, *opts.WarmStart)
-		} else {
-			coord, err = core.NewCoordinator(eng, cfg)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("streamelastic: %w", err)
-		}
-		coord.SetObserver(func(ev core.TraceEvent) {
-			detail := string(ev.Phase)
-			if ev.Note != "" {
-				detail += ": " + ev.Note
-			}
-			rec.Record(obs.EvAdapt, 0, int64(ev.Threads), int64(ev.Queues), detail)
-		})
-		r.coord = coord
+	rt, err := pe.NewPERuntime(plans[0], obs.NewRegistry(), obs.NewFlightRecorder(obs.DefaultFlightRecorderSize), pe.Options{
+		Exec: exec.Options{
+			MaxThreads:         opts.MaxThreads,
+			QueueCapacity:      opts.QueueCapacity,
+			AdaptPeriod:        opts.AdaptPeriod,
+			TrackLatency:       opts.TrackLatency,
+			LocalQueueCapacity: opts.LocalQueueCapacity,
+		},
+		Elastic:           opts.Elastic,
+		DisableElasticity: opts.DisableElasticity,
+		SampleEvery:       opts.SampleEvery,
+	}, nil)
+	if err == nil && opts.WarmStart != nil && rt.Coord != nil {
+		err = rt.Coord.Restore(*opts.WarmStart)
 	}
-	return r, nil
+	if err != nil {
+		return nil, fmt.Errorf("streamelastic: %w", err)
+	}
+	return &Runtime{pe: rt}, nil
 }
 
 // ConfigSnapshot captures the current elastic configuration for a later
 // warm start. Returns nil when elasticity is disabled.
 func (r *Runtime) ConfigSnapshot() *ConfigSnapshot {
-	if r.coord == nil {
+	if r.pe.Coord == nil {
 		return nil
 	}
-	s := r.coord.ConfigSnapshot()
+	s := r.pe.Coord.ConfigSnapshot()
 	return &s
 }
 
@@ -153,14 +130,12 @@ func (r *Runtime) ConfigSnapshot() *ConfigSnapshot {
 // It reports whether the pipeline fully drained.
 func (r *Runtime) DrainAndStop(timeout time.Duration) bool {
 	r.mu.Lock()
-	cancel, done := r.cancel, r.done
-	r.cancel, r.done = nil, nil
+	r.pe.StopControl()
 	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
-	return r.eng.DrainAndStop(timeout)
+	r.pe.Eng.Drain()
+	ok := r.pe.Eng.WaitIdle(timeout)
+	r.pe.StopEngine()
+	return ok
 }
 
 // Start launches the sources, the scheduler pool, the profiler, and (unless
@@ -172,105 +147,64 @@ func (r *Runtime) Start(ctx context.Context) error {
 		return errors.New("streamelastic: runtime already started")
 	}
 	r.started = true
-	if err := r.eng.Start(ctx); err != nil {
-		return err
-	}
-	if r.coord != nil {
-		actx, cancel := context.WithCancel(ctx)
-		done := make(chan struct{})
-		r.cancel = cancel
-		r.done = done
-		go func() {
-			defer close(done)
-			// Run returns when the context is cancelled; engine errors
-			// surface through the trace.
-			_ = r.coord.Run(actx)
-		}()
-	}
-	return nil
+	return r.pe.Start(ctx)
 }
 
 // Stop terminates the adaptation loop and all engine goroutines, waiting
 // for them to exit. Safe to call more than once.
 func (r *Runtime) Stop() {
 	r.mu.Lock()
-	cancel, done := r.cancel, r.done
-	r.cancel, r.done = nil, nil
+	r.pe.StopControl()
 	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
-	r.eng.Stop()
+	r.pe.StopEngine()
 }
 
 // SinkCount returns the total number of tuples delivered to sink operators.
-func (r *Runtime) SinkCount() uint64 { return r.eng.SinkCount() }
+func (r *Runtime) SinkCount() uint64 { return r.pe.Eng.SinkCount() }
 
 // Latency returns the end-to-end latency summary; all zeros unless
 // RuntimeOptions.TrackLatency was set.
-func (r *Runtime) Latency() LatencySnapshot { return r.eng.Latency() }
+func (r *Runtime) Latency() LatencySnapshot { return r.pe.Eng.Latency() }
 
 // OperatorPanics returns how many operator invocations panicked (each is
 // contained to the tuple being processed).
-func (r *Runtime) OperatorPanics() uint64 { return r.eng.OperatorPanics() }
+func (r *Runtime) OperatorPanics() uint64 { return r.pe.Eng.OperatorPanics() }
 
 // Threads returns the current scheduler-thread count.
-func (r *Runtime) Threads() int { return r.eng.ThreadCount() }
+func (r *Runtime) Threads() int { return r.pe.Eng.ThreadCount() }
 
 // Queues returns the current number of scheduler queues.
-func (r *Runtime) Queues() int { return r.eng.Queues() }
+func (r *Runtime) Queues() int { return r.pe.Eng.Queues() }
 
 // Placement returns the current threading-model choice per operator (true
 // means dynamic).
-func (r *Runtime) Placement() []bool { return r.eng.Placement() }
+func (r *Runtime) Placement() []bool { return r.pe.Eng.Placement() }
 
 // SchedStats returns the work-stealing scheduler's cumulative counters.
-func (r *Runtime) SchedStats() metrics.SchedSnapshot { return r.eng.SchedStats() }
+func (r *Runtime) SchedStats() metrics.SchedSnapshot { return r.pe.Eng.SchedStats() }
 
 // Settled reports whether adaptation has converged.
 func (r *Runtime) Settled() bool {
-	if r.coord == nil {
-		return true
-	}
-	return r.coord.Settled()
+	return r.pe.Coord == nil || r.pe.Coord.Settled()
 }
 
 // Trace returns the adaptation trace recorded so far.
-func (r *Runtime) Trace() []TraceEvent {
-	if r.coord == nil {
-		return nil
-	}
-	return r.coord.Trace()
-}
-
-// runtimeProvider adapts a Runtime to the monitoring API.
-type runtimeProvider struct{ r *Runtime }
-
-func (p runtimeProvider) Statuses() []monitor.Status {
-	return []monitor.Status{monitor.BuildStatus("runtime", p.r.reg, nil)}
-}
-
-func (p runtimeProvider) AdaptationTrace(index int) []core.TraceEvent {
-	if index != 0 {
-		return nil
-	}
-	return p.r.Trace()
-}
+func (r *Runtime) Trace() []TraceEvent { return r.pe.Trace() }
 
 // MetricsHandler returns an http.Handler serving the runtime's full
-// observability surface: GET /statusz for configuration and counters,
-// GET /tracez for the adaptation trace, GET /metrics for Prometheus text,
-// GET /flightz for a flight-recorder dump, GET /tracez.json for a Chrome
-// trace_event export, and /debug/pprof. Mount it on any mux or server.
+// observability surface: GET /statusz for configuration and counters (one
+// row, pe0), GET /tracez for the adaptation trace, GET /metrics for
+// Prometheus text, GET /flightz for a flight-recorder dump, GET
+// /tracez.json for a Chrome trace_event export, and /debug/pprof. Mount it
+// on any mux or server.
 func (r *Runtime) MetricsHandler() http.Handler {
-	return monitor.ObservabilityHandler(runtimeProvider{r: r}, []*obs.Registry{r.reg}, r.rec)
+	return monitor.ObservabilityHandler(r.pe)
 }
 
 // Registry returns the runtime's telemetry registry, for registering
 // application metrics or scraping programmatically.
-func (r *Runtime) Registry() *obs.Registry { return r.reg }
+func (r *Runtime) Registry() *obs.Registry { return r.pe.Reg }
 
 // FlightRecorder returns the runtime's flight recorder; Record application
 // events into it to interleave them with the engine's.
-func (r *Runtime) FlightRecorder() *obs.FlightRecorder { return r.rec }
+func (r *Runtime) FlightRecorder() *obs.FlightRecorder { return r.pe.FlightRecorder() }

@@ -74,11 +74,9 @@ func NewSimulation(t *Topology, m Machine, opts SimOptions) (*Simulation, error)
 	if cfg == (ElasticConfig{}) {
 		cfg = DefaultElasticConfig()
 	}
-	var coord *core.Coordinator
-	if opts.WarmStart != nil {
-		coord, err = core.NewCoordinatorFrom(eng, cfg, *opts.WarmStart)
-	} else {
-		coord, err = core.NewCoordinator(eng, cfg)
+	coord, err := core.NewCoordinator(eng, cfg)
+	if err == nil && opts.WarmStart != nil {
+		err = coord.Restore(*opts.WarmStart)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("streamelastic: %w", err)

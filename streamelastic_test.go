@@ -132,6 +132,36 @@ func TestRuntimeDisableElasticity(t *testing.T) {
 	}
 }
 
+func TestRuntimeWarmStart(t *testing.T) {
+	top, _ := buildPipeline(t, 3, 100, 0, 0)
+	placement := []bool{false, true, false, false, false}
+	if _, err := NewRuntime(top, RuntimeOptions{WarmStart: &ConfigSnapshot{Placement: placement[:2], Threads: 2}}); err == nil {
+		t.Fatal("wrong-length warm-start snapshot accepted")
+	}
+	rt, err := NewRuntime(top, RuntimeOptions{
+		AdaptPeriod: 20 * time.Millisecond,
+		WarmStart:   &ConfigSnapshot{Placement: placement, Threads: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot is applied at construction, before any observation.
+	if rt.Threads() != 2 || rt.Queues() != 1 {
+		t.Fatalf("warm start T=%d Q=%d, want T=2 Q=1", rt.Threads(), rt.Queues())
+	}
+	if err := rt.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(rt.Trace()) == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if tr := rt.Trace(); len(tr) == 0 || tr[0].Phase != "settled" {
+		t.Fatalf("first observation of a warm start did not settle: %+v", tr)
+	}
+}
+
 func TestSimulationAdaptsPipeline(t *testing.T) {
 	top, _ := buildPipeline(t, 98, 100, 1024, 0)
 	s, err := NewSimulation(top, Xeon176(), SimOptions{PayloadBytes: 1024})

@@ -75,6 +75,10 @@ func (t *Topology) MarkContended(id NodeID) {
 // NumOperators returns the number of operators added so far.
 func (t *Topology) NumOperators() int { return t.g.NumNodes() }
 
+// Graph validates and freezes the topology, like NewRuntime, and returns
+// its operator graph for the internal launchers (pe.Launch, cluster.New).
+func (t *Topology) Graph() (*graph.Graph, error) { return t.freeze() }
+
 // freeze validates the topology and marks it immutable.
 func (t *Topology) freeze() (*graph.Graph, error) {
 	if t.frozen {
